@@ -344,10 +344,7 @@ struct RequestResult
 class AuthService
 {
   public:
-    /**
-     * Serve `store` (in-memory EnrollmentStore or mmap-backed
-     * MmapEnrollmentStore; both outlive the service).
-     */
+    /** Serve `store` (it outlives the service). */
     AuthService(DeviceFleet &fleet, EnrollmentBackend &store,
                 const AuthConfig &config = {});
 

@@ -8,27 +8,45 @@
  * costs a few bytes per signature cell and a lookup of a hot device
  * never re-decodes.
  *
- * Two serializations share one versioned header model:
- *  - binary (magic "CODICENR" + format version): the compact wire
- *    format, written with records sorted by device id so a store
- *    built by a parallel enrollment campaign serializes
- *    byte-identically at any shard/thread count. Format v2 appends
- *    a sorted (device id, record offset) index after the records,
- *    which the mmap read path (store_mmap.h) binary-searches to
- *    serve lookups without decoding the store into heap;
- *  - JSON: interoperable mirror of the same fields (no index - the
- *    JSON mirror exists for interop, not for serving).
- * Loading either format rejects a bad magic, an unsupported format
- * version, or a truncated file with a clear FatalError instead of
- * misparsing - enrollment written by one run can be trusted by a
- * later run.
+ * One store, one format. An EnrollmentStore is a read-only *base*
+ * image in the binary format below plus an in-memory *overlay* of
+ * writes (enrollments and re-enrollments) that supersedes base
+ * records. The base is one of:
+ *  - a mapped file (EnrollmentStore(path)): O(1) header and footer
+ *    checks on open, per-record bounds checks on access, so a
+ *    10^7-device store serves with flat memory - only the touched
+ *    index and record pages become resident;
+ *  - an owned byte buffer (loadBinary/loadFile): the same image,
+ *    validated in full once on load;
+ *  - empty (EnrollmentStore(seed)): every record lives in the
+ *    overlay, as during an enrollment campaign.
+ * Lookups binary-search the base's sorted on-disk index and decode
+ * the record straight from its bytes. Saving (saveBinary, saveFile,
+ * compactTo) is one sorted merge of base and overlay, so a store
+ * serializes byte-identically at any shard/thread count.
+ *
+ * Binary format v2 (little-endian):
+ *   char[8]  magic "CODICENR"
+ *   u32      format version (2)
+ *   u32      reserved flags (0)
+ *   u64      population seed
+ *   u64      record count
+ *   u64      index offset
+ *   records, sorted by device id:
+ *     u64 device_id, u64 segment_id, u32 segment_bits,
+ *     u32 cell_count, u32 blob_len, u8[blob_len] blob
+ *   index, at the index offset, sorted by device id, ending the file:
+ *     record count x (u64 device_id, u64 record offset)
+ * Readers reject a bad magic, another version, or a truncated or
+ * corrupt image with a FatalError instead of misparsing.
  */
 
 #ifndef CODIC_FLEET_ENROLLMENT_STORE_H
 #define CODIC_FLEET_ENROLLMENT_STORE_H
 
 #include <cstdint>
-#include <iosfwd>
+#include <fstream>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -37,6 +55,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/mapped_file.h"
 #include "puf/puf.h"
 
 namespace codic {
@@ -111,23 +130,12 @@ class LruIndex
     std::unordered_map<uint64_t, std::list<uint64_t>::iterator> pos_;
 };
 
-/** One enrolled device's golden signature (encoded at rest). */
-struct EnrollmentRecord
-{
-    uint64_t device_id = 0;
-    uint64_t segment_id = 0;   //!< Golden challenge segment.
-    uint32_t segment_bits = 0; //!< Golden challenge width.
-    uint32_t cell_count = 0;   //!< Cells in the signature.
-    std::vector<uint8_t> blob; //!< Varint delta-encoded positions.
-};
-
 /**
- * What AuthService needs from a golden-signature database. Two
- * implementations: the in-memory EnrollmentStore below, and the
- * mmap-backed MmapEnrollmentStore (store_mmap.h) that serves a
- * 10^7-device store file with flat per-request memory. Every method
- * is thread-safe and deterministic: outcomes depend only on store
- * content and call order per device, never on scheduling.
+ * What AuthService needs from a golden-signature database.
+ * EnrollmentStore implements it; decorators (a tracing wrapper, for
+ * one) implement it around a store. Every method is thread-safe and
+ * deterministic: outcomes depend only on store content and call
+ * order per device, never on scheduling.
  */
 class EnrollmentBackend
 {
@@ -163,124 +171,168 @@ class EnrollmentBackend
     virtual uint64_t cacheMisses() const = 0;
 };
 
-/** Golden-signature database with an LRU decode cache. */
+/**
+ * Golden-signature database: a base image plus a write overlay,
+ * behind an LRU decode cache. Thread-safe; the base image is never
+ * modified.
+ */
 class EnrollmentStore : public EnrollmentBackend
 {
   public:
-    /**
-     * Current on-disk format version (binary and JSON). v2 added
-     * the sorted record index after the binary records; v1 files
-     * (no index) still load.
-     */
+    /** The on-disk format version this build reads and writes. */
     static constexpr uint32_t kFormatVersion = 2;
 
-    /** @param cache_capacity Decoded signatures kept hot (>= 1). */
+    /**
+     * An empty store (all records land in the overlay).
+     * @param cache_capacity Decoded signatures kept hot (>= 1).
+     */
     explicit EnrollmentStore(uint64_t population_seed = 0,
                              size_t cache_capacity = 4096);
 
     /**
-     * Moves transfer the records and leave the decode cache cold
-     * (the mutex is not movable). Never move a store that another
-     * thread is using.
+     * Serve a store file through a read-only mapping. Opening checks
+     * only the header and the index footer (O(1) in the record
+     * count); each record is bounds-checked when first read.
+     * @throws FatalError when the file is missing, another format
+     *         version, truncated, or corrupt.
+     */
+    explicit EnrollmentStore(const std::string &path,
+                             size_t cache_capacity = 4096);
+
+    /**
+     * Moves transfer the base and the overlay and leave the decode
+     * cache cold (the mutex is not movable). Never move a store that
+     * another thread is using.
      */
     EnrollmentStore(EnrollmentStore &&other) noexcept;
     EnrollmentStore &operator=(EnrollmentStore &&other) noexcept;
     EnrollmentStore(const EnrollmentStore &) = delete;
     EnrollmentStore &operator=(const EnrollmentStore &) = delete;
 
-    /** Population the signatures were enrolled from. */
+    // --- EnrollmentBackend ---
+
     uint64_t populationSeed() const override
     {
         return population_seed_;
     }
 
-    /** Enrolled devices. Thread-safe. */
+    /** Base records plus overlay entries for new devices. */
     size_t size() const override;
 
     /**
-     * Insert or replace a device's golden signature. Thread-safe;
-     * the final store content depends only on the per-device last
-     * write, never on cross-device interleaving.
+     * Insert or replace a device's golden signature (in the
+     * overlay). The final store content depends only on the
+     * per-device last write, never on cross-device interleaving.
      */
     void put(uint64_t device_id, const Challenge &challenge,
              const Response &signature) override;
 
-    /** O(1): is the device enrolled? Thread-safe. */
+    /** Overlay hash probe, then O(log n) base index search. */
     bool contains(uint64_t device_id) const override;
 
-    /**
-     * Encoded record, or nullptr when the device is unknown.
-     * Records are never erased, so the pointer stays valid; do not
-     * read it concurrently with a put() for the same device (the
-     * record content is overwritten in place).
-     */
-    const EnrollmentRecord *record(uint64_t device_id) const;
-
-    /**
-     * Decoded golden signature through the LRU cache, or nullptr
-     * when the device is unknown. Thread-safe; the shared_ptr stays
-     * valid after eviction.
-     */
     std::shared_ptr<const Response>
     lookup(uint64_t device_id) const override;
 
-    /** Enrolled device ids, ascending (deterministic iteration). */
-    std::vector<uint64_t> deviceIds() const;
-
-    /** Decode-cache capacity (what AuthService's LRU plan models). */
     size_t cacheCapacity() const override { return cache_capacity_; }
-
-    /** Decode-cache telemetry (scheduling-dependent; timings only). */
     uint64_t cacheHits() const override { return hits_; }
     uint64_t cacheMisses() const override { return misses_; }
 
-    // --- Serialization ---
-
-    /** Write the binary format (records sorted by device id). */
-    void saveBinary(std::ostream &out) const;
-
-    /** Write the JSON mirror (same order as saveBinary). */
-    void saveJson(std::ostream &out) const;
-
-    /** Binary size without writing (campaign reporting). */
-    size_t binarySizeBytes() const;
+    // --- Inspection ---
 
     /**
-     * Read either format back. The decode-cache capacity is a
-     * runtime tuning knob, not part of the stored data - pass the
-     * capacity the serving process wants (files carry records
-     * only). @throws FatalError on a bad magic, a format-version
-     * mismatch, or a truncated/corrupt stream.
+     * Enrolled device ids, ascending. O(n): materializes the full id
+     * list, so the serving path never calls it on a large store.
+     */
+    std::vector<uint64_t> deviceIds() const;
+
+    /** Records in the base image. */
+    uint64_t baseRecords() const { return count_; }
+
+    /** Base image size in bytes (the mapped file's size). */
+    uint64_t baseBytes() const { return size_; }
+
+    /** Overlay entries (new devices + re-enrollments). */
+    size_t overlayRecords() const;
+
+    // --- Serialization ---
+
+    /** Write the merged store in the binary format. */
+    void saveBinary(std::ostream &out) const;
+
+    /** saveBinary's output size, without writing. */
+    size_t binarySizeBytes() const;
+
+    /** Write the merged store to a file (compactTo, stats dropped). */
+    void saveFile(const std::string &path) const;
+
+    struct CompactStats
+    {
+        uint64_t base_records = 0;    //!< Records in the old base.
+        uint64_t overlay_records = 0; //!< Overlay entries merged in.
+        uint64_t superseded = 0;      //!< Base records dropped.
+        uint64_t records_written = 0; //!< Records in the new file.
+    };
+
+    /**
+     * Stream base + overlay into a fresh file at `path` (sorted
+     * merge; the overlay supersedes the base). Flat memory at any
+     * base size. This store is unchanged - open the new file to
+     * serve from it.
+     */
+    CompactStats compactTo(const std::string &path) const;
+
+    /**
+     * Read a whole image into memory and validate every record: the
+     * index sorted and pointing at each record in turn, every record
+     * in bounds, the records ending exactly at the index, no
+     * trailing bytes. The decode-cache capacity is a runtime tuning
+     * knob, not part of the stored data. @throws FatalError on any
+     * violation, or when the file cannot be opened.
      */
     static EnrollmentStore loadBinary(std::istream &in,
                                       size_t cache_capacity = 4096);
-    static EnrollmentStore loadJson(std::istream &in,
-                                    size_t cache_capacity = 4096);
-
-    /**
-     * Path helpers: a ".json" suffix selects the JSON format,
-     * anything else the binary format. @throws FatalError when the
-     * file cannot be opened or fails to parse.
-     */
-    void saveFile(const std::string &path) const;
     static EnrollmentStore loadFile(const std::string &path,
                                     size_t cache_capacity = 4096);
 
-    /** Decode one record's blob into a Response (cache bypass). */
-    static Response decode(const EnrollmentRecord &record);
-
-    /** Encode one signature into a record (varint delta cells). */
-    static EnrollmentRecord encode(uint64_t device_id,
-                                   const Challenge &challenge,
-                                   const Response &signature);
-
   private:
-    uint64_t population_seed_;
-    size_t cache_capacity_;
-    std::unordered_map<uint64_t, EnrollmentRecord> records_;
+    /** Parsed view of one record's bytes (base image or overlay). */
+    struct Record;
 
-    // LRU decode cache: recency/eviction via the shared LruIndex.
+    /** Adopt [data, data + size) as the base: O(1) header checks. */
+    void openBase(const uint8_t *data, uint64_t size);
+
+    /** The full per-record validation pass of loadBinary. */
+    void validateBase() const;
+
+    uint64_t indexId(uint64_t slot) const;
+
+    /** Index slot of a device id, or count_ when absent. */
+    uint64_t findSlot(uint64_t device_id) const;
+
+    /** Bounds-checked view of the base record at an index slot. */
+    Record baseRecord(uint64_t slot) const;
+
+    /** Overlay record, else base record, of a device. Lock held. */
+    std::optional<Record> findLocked(uint64_t device_id) const;
+
+    /** Visit the merged records in ascending id order. Lock held. */
+    void forEachLocked(
+        const std::function<void(const Record &)> &visit) const;
+
+    std::string path_; //!< Base file, or "" for an in-memory base.
+    MappedFile file_;
+    std::vector<uint8_t> owned_;
+    const uint8_t *data_ = nullptr; //!< Base image (file_ or owned_).
+    uint64_t size_ = 0;
+    uint64_t population_seed_ = 0;
+    uint64_t count_ = 0;        //!< Base records.
+    uint64_t index_offset_ = 0; //!< Index footer position.
+    size_t cache_capacity_ = 1;
+
     mutable std::mutex mutex_;
+    /** Written records, each in the on-disk record encoding. */
+    std::unordered_map<uint64_t, std::vector<uint8_t>> overlay_;
+    uint64_t overlay_new_ = 0; //!< Overlay ids absent from the base.
     mutable LruIndex index_;
     mutable std::unordered_map<uint64_t,
                                std::shared_ptr<const Response>>
@@ -288,6 +340,66 @@ class EnrollmentStore : public EnrollmentBackend
     mutable uint64_t hits_ = 0;
     mutable uint64_t misses_ = 0;
 };
+
+/**
+ * Streaming writer of the binary format. Append records in strictly
+ * ascending device-id order, then finish(); the index footer is
+ * staged in a `<path>.idx` side file and spliced on, so writer memory
+ * stays flat at any record count. A writer destroyed before finish()
+ * (or whose constructor fails) removes its partial files.
+ * @throws FatalError on unsorted appends or I/O failure.
+ */
+class EnrollmentStoreWriter
+{
+  public:
+    EnrollmentStoreWriter(const std::string &path,
+                          uint64_t population_seed);
+    ~EnrollmentStoreWriter();
+
+    EnrollmentStoreWriter(const EnrollmentStoreWriter &) = delete;
+    EnrollmentStoreWriter &
+    operator=(const EnrollmentStoreWriter &) = delete;
+
+    /**
+     * Append one record already in the on-disk encoding (28-byte
+     * prefix + blob; ids strictly ascending).
+     */
+    void append(const uint8_t *record, uint64_t bytes);
+
+    /** Encode and append one signature (ids strictly ascending). */
+    void append(uint64_t device_id, const Challenge &challenge,
+                const Response &signature);
+
+    /** Records appended so far. */
+    uint64_t records() const { return count_; }
+
+    /** Splice the index, patch the header, close. Call once. */
+    void finish();
+
+  private:
+    std::string path_;
+    std::string index_path_;
+    std::ofstream out_;
+    std::ofstream index_out_;
+    uint64_t count_ = 0;
+    uint64_t offset_ = 0;   //!< Next record's file offset.
+    uint64_t last_id_ = 0;  //!< Highest id appended (count_ > 0).
+    bool finished_ = false;
+};
+
+/**
+ * Stream a deterministic stand-in population of `devices` synthetic
+ * enrollment records to `path` (sorted, flat memory). Scale studies
+ * use it to exercise the 10^7-device serving path: building that
+ * store from real PUF enrollments takes hours of simulated silicon,
+ * and the store/serving data path under test never depends on
+ * signature content. Each record is a pure function of
+ * (population_seed, device_id).
+ */
+uint64_t writeSyntheticStore(const std::string &path,
+                             uint64_t population_seed,
+                             uint64_t devices, int segment_bits,
+                             int cells_per_record);
 
 } // namespace codic
 

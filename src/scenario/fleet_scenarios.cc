@@ -45,7 +45,6 @@
 #include "fleet/device_fleet.h"
 #include "fleet/enrollment_store.h"
 #include "fleet/region.h"
-#include "fleet/store_mmap.h"
 #include "scenario/registry.h"
 #include "scenario/scenario_util.h"
 #include "scenario/scheduler_workloads.h"
@@ -85,7 +84,7 @@ signatureCellStats(const EnrollmentStore &store)
 {
     RunningStats cells;
     for (uint64_t id : store.deviceIds())
-        cells.add(static_cast<double>(store.record(id)->cell_count));
+        cells.add(static_cast<double>(store.lookup(id)->cells.size()));
     return cells;
 }
 
@@ -188,13 +187,13 @@ struct TrafficSetup
 TrafficSetup
 setupEnrolledFleet(RunContext &ctx, int64_t default_devices)
 {
-    // The heap-decoded setup path below rebuilds the population from
-    // the store's device-id list; the mmap read path is wired into
-    // fleet_scaling (the population-scale study) only.
+    // The setup path below loads the store into memory and rebuilds
+    // the population from its device-id list; serving a mapped store
+    // is wired into fleet_scaling (the population-scale study) only.
     if (ctx.options().store_mmap)
         fatal("fleet: --store-mmap is supported by fleet_scaling "
-              "(the population-scale study); this scenario decodes "
-              "the store into heap");
+              "(the population-scale study); this scenario loads "
+              "the store into memory");
     TrafficSetup setup;
     setup.fleet_config = fleetConfigFor(ctx, default_devices);
     if (!ctx.options().store_path.empty()) {
@@ -449,7 +448,7 @@ runFleetScalingMmap(RunContext &ctx)
         fc.shards = shards;
         // A fresh mapping per sweep point: re-enrollment overlays
         // are per-point state (the file itself is never mutated).
-        MmapEnrollmentStore store(path);
+        EnrollmentStore store(path);
         fc.population_seed = store.populationSeed();
         if (!described) {
             described = true;
@@ -460,7 +459,7 @@ runFleetScalingMmap(RunContext &ctx)
                                  store.baseRecords()))
                         .add("mapped_mb",
                              static_cast<double>(
-                                 store.mappedBytes()) /
+                                 store.baseBytes()) /
                                  (1024.0 * 1024.0)));
         }
         DeviceFleet fleet(fc);

@@ -5,14 +5,6 @@
 
 #include "common/logging.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CODIC_TRACE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace codic {
 
 namespace {
@@ -215,60 +207,37 @@ TraceWriter::finish()
 
 // --- TraceReader ------------------------------------------------------------
 
-TraceReader::TraceReader(const std::string &path) : path_(path)
+TraceReader::TraceReader(const std::string &path)
+    : path_(path), file_(path, MappedFile::Access::Sequential)
 {
-#ifdef CODIC_TRACE_HAVE_MMAP
-    fd_ = ::open(path.c_str(), O_RDONLY);
-    if (fd_ < 0)
-        fatal("trace reader: cannot open '", path, "'");
-    struct stat st;
-    if (::fstat(fd_, &st) != 0) {
-        ::close(fd_);
-        fatal("trace reader: cannot stat '", path, "'");
-    }
-    size_ = static_cast<uint64_t>(st.st_size);
-    if (size_ > 0) {
-        void *map = ::mmap(nullptr, size_, PROT_READ, MAP_SHARED,
-                           fd_, 0);
-        if (map == MAP_FAILED) {
-            ::close(fd_);
-            fatal("trace reader: mmap of '", path, "' failed");
-        }
-        data_ = static_cast<const uint8_t *>(map);
-        // The cursor streams front to back; tell the pager.
-        ::madvise(const_cast<uint8_t *>(data_), size_,
-                  MADV_SEQUENTIAL);
-    }
-#else
-    fatal("trace reader: mmap is not available on this platform");
-#endif
-
-    if (size_ < kFixedHeaderBytes)
-        fatal("trace reader: '", path, "' is truncated (", size_,
+    const uint8_t *bytes = file_.data();
+    const uint64_t size = file_.size();
+    if (size < kFixedHeaderBytes)
+        fatal("trace reader: '", path, "' is truncated (", size,
               " bytes, smaller than the ", kFixedHeaderBytes,
               "-byte header)");
-    if (std::memcmp(data_, kTraceMagic, sizeof(kTraceMagic)) != 0)
+    if (std::memcmp(bytes, kTraceMagic, sizeof(kTraceMagic)) != 0)
         fatal("trace reader: '", path,
               "' is not a CODIC trace (bad magic)");
-    version_ = getLe32(data_ + 8);
+    version_ = getLe32(bytes + 8);
     if (version_ != kTraceFormatVersion)
         fatal("trace reader: '", path, "' has format version ",
               version_, " but this build reads version ",
               kTraceFormatVersion,
               "; re-record the trace with this build");
-    header_bytes_ = getLe32(data_ + 12);
-    record_count_ = getLe64(data_ + 16);
-    index_offset_ = getLe64(data_ + 24);
-    max_addr_ = getLe64(data_ + 32);
-    meta_.seed = getLe64(data_ + 40);
-    meta_.epoch_stride = getLe32(data_ + 48);
-    const uint32_t scenario_len = getLe32(data_ + 52);
+    header_bytes_ = getLe32(bytes + 12);
+    record_count_ = getLe64(bytes + 16);
+    index_offset_ = getLe64(bytes + 24);
+    max_addr_ = getLe64(bytes + 32);
+    meta_.seed = getLe64(bytes + 40);
+    meta_.epoch_stride = getLe32(bytes + 48);
+    const uint32_t scenario_len = getLe32(bytes + 52);
     if (header_bytes_ != kFixedHeaderBytes + scenario_len ||
-        header_bytes_ > size_)
+        header_bytes_ > size)
         fatal("trace reader: '", path,
               "' header is inconsistent (truncated or corrupt)");
     meta_.scenario.assign(
-        reinterpret_cast<const char *>(data_ + kFixedHeaderBytes),
+        reinterpret_cast<const char *>(bytes + kFixedHeaderBytes),
         scenario_len);
     if (meta_.epoch_stride == 0)
         fatal("trace reader: '", path, "' has a zero epoch stride");
@@ -278,21 +247,21 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
     if (index_offset_ == 0)
         fatal("trace reader: '", path,
               "' was never finalized (recording aborted?)");
-    if (index_offset_ < header_bytes_ ||
-        index_offset_ + 8 > size_)
+    if (index_offset_ < header_bytes_ || index_offset_ > size ||
+        size - index_offset_ < 8)
         fatal("trace reader: '", path,
               "' index offset is out of bounds (truncated file?)");
-    const uint64_t epoch_count = getLe64(data_ + index_offset_);
+    const uint64_t epoch_count = getLe64(bytes + index_offset_);
     const uint64_t expected_epochs =
         (record_count_ + meta_.epoch_stride - 1) / meta_.epoch_stride;
     if (epoch_count != expected_epochs ||
-        index_offset_ + 8 + epoch_count * kEpochEntryBytes > size_)
+        epoch_count > (size - index_offset_ - 8) / kEpochEntryBytes)
         fatal("trace reader: '", path,
               "' epoch index is truncated or corrupt");
     epochs_.reserve(epoch_count);
     for (uint64_t i = 0; i < epoch_count; ++i) {
         const uint8_t *p =
-            data_ + index_offset_ + 8 + i * kEpochEntryBytes;
+            bytes + index_offset_ + 8 + i * kEpochEntryBytes;
         TraceEpoch e;
         e.file_offset = getLe64(p);
         e.start_record = getLe64(p + 8);
@@ -304,16 +273,6 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
                   "' epoch index entry ", i, " is corrupt");
         epochs_.push_back(e);
     }
-}
-
-TraceReader::~TraceReader()
-{
-#ifdef CODIC_TRACE_HAVE_MMAP
-    if (data_)
-        ::munmap(const_cast<uint8_t *>(data_), size_);
-    if (fd_ >= 0)
-        ::close(fd_);
-#endif
 }
 
 TraceCursor
@@ -386,7 +345,7 @@ TraceReader::describe() const
     out += "records: " + std::to_string(record_count_) + "\n";
     out += "epochs: " + std::to_string(epochs_.size()) +
            " (stride " + std::to_string(meta_.epoch_stride) + ")\n";
-    out += "file_bytes: " + std::to_string(size_) + "\n";
+    out += "file_bytes: " + std::to_string(file_.size()) + "\n";
     out += "max_addr: " + std::to_string(max_addr_) + "\n";
     if (record_count_ > 0) {
         // First tick from the index; last by decoding the final
@@ -450,7 +409,6 @@ TraceCursor::getVarint()
 void
 TraceCursor::releaseConsumedPages()
 {
-#ifdef CODIC_TRACE_HAVE_MMAP
     // Drop fully consumed pages so streaming a trace keeps resident
     // memory flat regardless of its length. The pages re-fault from
     // the file if another cursor (or a seek) revisits them.
@@ -458,12 +416,10 @@ TraceCursor::releaseConsumedPages()
     const uint64_t consumed = (offset_ / page) * page;
     if (consumed > released_below_ &&
         consumed - released_below_ >= kReleaseGranularity) {
-        ::madvise(const_cast<uint8_t *>(reader_->data() +
-                                        released_below_),
-                  consumed - released_below_, MADV_DONTNEED);
+        reader_->file_.release(released_below_,
+                               consumed - released_below_);
         released_below_ = consumed;
     }
-#endif
 }
 
 bool

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mapped_file.h"
 #include "trace/trace_format.h"
 
 namespace codic {
@@ -143,7 +144,6 @@ class TraceReader
      *         mismatch, or a header/index that overruns the file.
      */
     explicit TraceReader(const std::string &path);
-    ~TraceReader();
 
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
@@ -165,7 +165,7 @@ class TraceReader
     uint64_t maxAddr() const { return max_addr_; }
 
     /** Total file size in bytes. */
-    uint64_t fileBytes() const { return size_; }
+    uint64_t fileBytes() const { return file_.size(); }
 
     /** The footer epoch index (one entry per epoch). */
     const std::vector<TraceEpoch> &epochs() const { return epochs_; }
@@ -196,12 +196,10 @@ class TraceReader
   private:
     friend class TraceCursor;
 
-    const uint8_t *data() const { return data_; }
+    const uint8_t *data() const { return file_.data(); }
 
     std::string path_;
-    const uint8_t *data_ = nullptr;
-    uint64_t size_ = 0;
-    int fd_ = -1;
+    MappedFile file_;
 
     uint32_t version_ = 0;
     uint32_t header_bytes_ = 0;

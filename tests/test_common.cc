@@ -1,21 +1,27 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG, statistics, histograms,
- * text tables, and the logging/assertion helpers.
+ * text tables, the logging/assertion helpers, and the read-only file
+ * mapping shared by the trace reader and the enrollment store.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/mapped_file.h"
 #include "common/result_sink.h"
 #include "common/rng.h"
 #include "common/run_options.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "fleet/enrollment_store.h"
+#include "trace/trace_io.h"
 
 namespace codic {
 namespace {
@@ -421,6 +427,55 @@ TEST(Logging, AssertMacroFiresOnFalse)
 {
     EXPECT_THROW(CODIC_ASSERT(1 == 2), PanicError);
     EXPECT_NO_THROW(CODIC_ASSERT(1 == 1));
+}
+
+// --- MappedFile. ---
+
+TEST(MappedFile, MapsContentAndEmptyFiles)
+{
+    const auto path = (std::filesystem::temp_directory_path() /
+                       "codic_test_mapped_file.bin")
+                          .string();
+    std::ofstream(path, std::ios::binary) << "mapped";
+    MappedFile file(path, MappedFile::Access::Random);
+    ASSERT_EQ(file.size(), 6u);
+    EXPECT_EQ(std::string(reinterpret_cast<const char *>(file.data()),
+                          6),
+              "mapped");
+    MappedFile moved(std::move(file));
+    EXPECT_EQ(moved.size(), 6u);
+    EXPECT_EQ(file.data(), nullptr);
+
+    std::ofstream(path, std::ios::binary | std::ios::trunc);
+    const MappedFile empty(path, MappedFile::Access::Sequential);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(empty.data(), nullptr);
+    std::filesystem::remove(path);
+    EXPECT_THROW(MappedFile(path, MappedFile::Access::Random),
+                 FatalError);
+}
+
+TEST(MappedFile, RejectedOpensLeakNoDescriptors)
+{
+    namespace fs = std::filesystem;
+    if (!fs::exists("/proc/self/fd"))
+        GTEST_SKIP() << "no /proc/self/fd on this platform";
+    const auto openFds = [] {
+        return std::distance(fs::directory_iterator("/proc/self/fd"),
+                             fs::directory_iterator{});
+    };
+    const auto path =
+        (fs::temp_directory_path() / "codic_test_junk_map.bin").string();
+    std::ofstream(path, std::ios::binary) << std::string(64, 'j');
+
+    const auto before = openFds();
+    for (int i = 0; i < 100; ++i) {
+        // Both readers map the file, then reject it (bad magic).
+        EXPECT_THROW(EnrollmentStore{path}, FatalError);
+        EXPECT_THROW(TraceReader{path}, FatalError);
+    }
+    EXPECT_EQ(openFds(), before);
+    fs::remove(path);
 }
 
 } // namespace

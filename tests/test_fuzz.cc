@@ -2,18 +2,25 @@
  * @file
  * Property/fuzz tests: long random-but-legal command streams through
  * the DRAM channel, random schedule classification totality, random
- * cache traffic against a reference model, and end-to-end
- * determinism checks. These guard the invariants DESIGN.md lists:
- * the JEDEC checker never admits an illegal issue, classification is
- * total, and simulations are reproducible from seeds.
+ * cache traffic against a reference model, end-to-end determinism
+ * checks, and a mutation fuzzer over the enrollment-store format.
+ * These guard the invariants DESIGN.md lists: the JEDEC checker
+ * never admits an illegal issue, classification is total,
+ * simulations are reproducible from seeds, and a malformed store
+ * fails loudly instead of crashing.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "dram/channel.h"
+#include "fleet/enrollment_store.h"
 #include "puf/sig_puf.h"
 #include "sim/cache.h"
 
@@ -238,6 +245,146 @@ TEST(DeterminismFuzz, PufCampaignsAreSeedStable)
         EXPECT_EQ(puf.evaluate(chips[7], ch, env),
                   puf.evaluate(chips2[7], ch, env));
     }
+}
+
+/**
+ * Deterministic mutants of a small writer-built store. Each one is
+ * checked through both entry points: loadBinary (full validation
+ * pass) and the path constructor (O(1) open checks) followed by a
+ * lookup of every originally indexed id (per-record checks). Either
+ * may throw FatalError or complete; any other exception, or a crash
+ * under the sanitizers, fails the test.
+ */
+class StoreFuzz : public ::testing::Test
+{
+  protected:
+    static constexpr size_t kHeaderBytes = 40;
+
+    void
+    SetUp() override
+    {
+        path_ = (std::filesystem::temp_directory_path() /
+                 "codic_test_store_fuzz.bin")
+                    .string();
+        EnrollmentStoreWriter writer(path_, 0xC0D1C);
+        for (uint64_t id = 0; id < 5; ++id) {
+            Response sig;
+            for (uint32_t c = 0; c < 2 + id * 3; ++c)
+                sig.cells.push_back(static_cast<uint32_t>(id + c * 97));
+            writer.append(id * 7 + 1, {id, 65536}, sig);
+            ids_.push_back(id * 7 + 1);
+        }
+        writer.finish();
+        std::ifstream in(path_, std::ios::binary);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        image_ = bytes.str();
+    }
+
+    void TearDown() override { std::filesystem::remove(path_); }
+
+    /** Look up every original id; true when any lookup threw. */
+    bool
+    lookupAll(const EnrollmentStore &store) const
+    {
+        bool threw = false;
+        for (uint64_t id : ids_) {
+            try {
+                store.lookup(id);
+            } catch (const FatalError &) {
+                threw = true;
+            }
+        }
+        return threw;
+    }
+
+    /** Run one mutant through both paths; true when both threw. */
+    bool
+    check(const std::string &mutant)
+    {
+        bool load_threw = false;
+        try {
+            std::istringstream in(mutant);
+            load_threw = lookupAll(EnrollmentStore::loadBinary(in));
+        } catch (const FatalError &) {
+            load_threw = true;
+        }
+        {
+            std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+            out.write(mutant.data(),
+                      static_cast<std::streamsize>(mutant.size()));
+        }
+        bool mapped_threw = false;
+        try {
+            mapped_threw = lookupAll(EnrollmentStore(path_));
+        } catch (const FatalError &) {
+            mapped_threw = true;
+        }
+        return load_threw && mapped_threw;
+    }
+
+    /** Offsets of every record, from the image's own index. */
+    std::vector<size_t>
+    recordOffsets() const
+    {
+        std::vector<size_t> offsets;
+        const size_t index = image_.size() - ids_.size() * 16;
+        for (size_t i = 0; i < ids_.size(); ++i) {
+            uint64_t at = 0;
+            for (int b = 0; b < 8; ++b)
+                at |= static_cast<uint64_t>(static_cast<uint8_t>(
+                          image_[index + i * 16 + 8 + b]))
+                      << (8 * b);
+            offsets.push_back(static_cast<size_t>(at));
+        }
+        return offsets;
+    }
+
+    std::string path_;
+    std::string image_;
+    std::vector<uint64_t> ids_;
+};
+
+TEST_F(StoreFuzz, UnmutatedImageLoadsOnBothPaths)
+{
+    EXPECT_FALSE(check(image_));
+    std::istringstream in(image_);
+    EXPECT_EQ(EnrollmentStore::loadBinary(in).deviceIds(), ids_);
+}
+
+TEST_F(StoreFuzz, EveryTruncationThrowsOnBothPaths)
+{
+    for (size_t len = 0; len < image_.size(); ++len)
+        EXPECT_TRUE(check(image_.substr(0, len)))
+            << "truncation to " << len << " bytes was accepted";
+}
+
+TEST_F(StoreFuzz, HeaderAndIndexByteFlipsNeverCrash)
+{
+    const size_t index = image_.size() - ids_.size() * 16;
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < kHeaderBytes; ++i)
+        positions.push_back(i);
+    for (size_t i = index; i < image_.size(); ++i)
+        positions.push_back(i);
+    for (size_t pos : positions)
+        for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+            std::string mutant = image_;
+            mutant[pos] = static_cast<char>(mutant[pos] ^ mask);
+            check(mutant);
+        }
+}
+
+TEST_F(StoreFuzz, OversizedRecordLengthsNeverCrash)
+{
+    // cell_count sits 20 bytes into a record, blob_len 24 bytes in.
+    for (size_t offset : recordOffsets())
+        for (size_t field : {offset + 20, offset + 24}) {
+            std::string mutant = image_;
+            for (size_t b = 0; b < 4; ++b)
+                mutant[field + b] = static_cast<char>(0xFF);
+            check(mutant);
+        }
 }
 
 } // namespace

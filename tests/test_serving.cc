@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests of the production-serving layer: LruIndex edge behavior
- * (the shared recency index behind both decode caches and the
- * deterministic cache plan), the streaming v2 store writer and the
- * mmap-backed read path (store_mmap.h), admission control / load
+ * (the shared recency index behind the store's decode cache and the
+ * deterministic cache plan), the streaming store writer and the
+ * mapped-file store base (enrollment_store.h), admission control / load
  * shedding (admission.h), the multi-region layer and shard-placement
  * policies (region.h), and the RunOptions contract for the new
  * --store-mmap/--regions/--shed CLI surface.
@@ -23,7 +23,6 @@
 #include "fleet/device_fleet.h"
 #include "fleet/enrollment_store.h"
 #include "fleet/region.h"
-#include "fleet/store_mmap.h"
 
 namespace codic {
 namespace {
@@ -115,7 +114,7 @@ TEST(LruIndex, EraseDropsOnlyThePresentId)
     EXPECT_FALSE(idx.contains(1));
 }
 
-// --- Streaming store writer (v2 format). ---
+// --- Streaming store writer. ---
 
 Response
 cellsResponse(std::initializer_list<uint32_t> cells)
@@ -171,9 +170,16 @@ TEST(EnrollmentStoreWriter, UnfinishedWriterCleansUpPartialFiles)
     }
     EXPECT_FALSE(fs::exists(path));
     EXPECT_FALSE(fs::exists(path + ".idx"));
+
+    // A constructor that fails on the index side file must not leave
+    // the store file it already created behind.
+    fs::create_directory(path + ".idx");
+    EXPECT_THROW(EnrollmentStoreWriter(path, 1), FatalError);
+    EXPECT_FALSE(fs::exists(path));
+    fs::remove(path + ".idx");
 }
 
-// --- Mmap-backed read path. ---
+// --- Mapped-file store base. ---
 
 /** Write a deterministic test store and return its path. */
 std::string
@@ -194,12 +200,12 @@ writeTestStore(const std::string &name, uint64_t seed = 321,
     return path;
 }
 
-TEST(MmapEnrollmentStore, LookupParityWithHeapStore)
+TEST(EnrollmentStore, MappedBaseServesWhatLoadFileReads)
 {
     const std::string path =
         writeTestStore("codic_test_mmap_parity.bin");
-    EnrollmentStore heap = EnrollmentStore::loadFile(path);
-    MmapEnrollmentStore mm(path);
+    const EnrollmentStore heap = EnrollmentStore::loadFile(path);
+    const EnrollmentStore mm(path);
 
     EXPECT_EQ(mm.populationSeed(), heap.populationSeed());
     EXPECT_EQ(mm.size(), heap.size());
@@ -216,11 +222,11 @@ TEST(MmapEnrollmentStore, LookupParityWithHeapStore)
     fs::remove(path);
 }
 
-TEST(MmapEnrollmentStore, OverlayShadowsBaseRecords)
+TEST(EnrollmentStore, OverlayShadowsBaseRecords)
 {
     const std::string path =
         writeTestStore("codic_test_mmap_overlay.bin");
-    MmapEnrollmentStore mm(path);
+    EnrollmentStore mm(path);
     const size_t base = mm.size();
 
     // Re-enroll an existing device: the overlay supersedes its base
@@ -228,7 +234,7 @@ TEST(MmapEnrollmentStore, OverlayShadowsBaseRecords)
     mm.put(3, {2, 65536}, cellsResponse({42, 43}));
     EXPECT_EQ(*mm.lookup(3), cellsResponse({42, 43}));
     EXPECT_EQ(mm.size(), base);
-    EXPECT_EQ(mm.supersededRecords(), 1u);
+    EXPECT_EQ(mm.overlayRecords(), 1u);
 
     // Enroll a brand-new device: size grows.
     mm.put(1, {1, 65536}, cellsResponse({9}));
@@ -239,13 +245,13 @@ TEST(MmapEnrollmentStore, OverlayShadowsBaseRecords)
     fs::remove(path);
 }
 
-TEST(MmapEnrollmentStore, CompactFoldsOverlayIntoAFreshFile)
+TEST(EnrollmentStore, CompactFoldsOverlayIntoAFreshFile)
 {
     const std::string path =
         writeTestStore("codic_test_mmap_compact.bin");
     const std::string compacted =
         tempPath("codic_test_mmap_compacted.bin");
-    MmapEnrollmentStore mm(path);
+    EnrollmentStore mm(path);
     mm.put(3, {2, 65536}, cellsResponse({42, 43}));   // Supersede.
     mm.put(1, {1, 65536}, cellsResponse({9}));        // New device.
 
@@ -255,9 +261,9 @@ TEST(MmapEnrollmentStore, CompactFoldsOverlayIntoAFreshFile)
     EXPECT_EQ(stats.superseded, 1u);
     EXPECT_EQ(stats.records_written, mm.size());
 
-    MmapEnrollmentStore fresh(compacted);
+    EnrollmentStore fresh(compacted);
     EXPECT_EQ(fresh.size(), mm.size());
-    EXPECT_EQ(fresh.supersededRecords(), 0u);
+    EXPECT_EQ(fresh.overlayRecords(), 0u);
     EXPECT_EQ(fresh.deviceIds(), mm.deviceIds());
     for (uint64_t id : mm.deviceIds())
         EXPECT_EQ(*fresh.lookup(id), *mm.lookup(id));
@@ -265,21 +271,77 @@ TEST(MmapEnrollmentStore, CompactFoldsOverlayIntoAFreshFile)
     fs::remove(compacted);
 }
 
-TEST(MmapEnrollmentStore, RejectsMissingTruncatedAndCorruptFiles)
+TEST(EnrollmentStore, EverySaveWritesTheSameMergedImage)
 {
-    EXPECT_THROW(
-        MmapEnrollmentStore(tempPath("codic_no_such_store.bin")),
-        FatalError);
+    const std::string path =
+        writeTestStore("codic_test_merge_image.bin");
+    const std::string compacted =
+        tempPath("codic_test_merge_image_compacted.bin");
+    EnrollmentStore mm(path);
+    mm.put(3, {2, 65536}, cellsResponse({42, 43})); // Supersede.
+    mm.put(1, {1, 65536}, cellsResponse({9}));      // New device.
+    mm.put(1000, {1, 65536}, cellsResponse({}));    // Past the base.
+
+    std::ostringstream saved;
+    mm.saveBinary(saved);
+    EXPECT_EQ(saved.str().size(), mm.binarySizeBytes());
+    mm.compactTo(compacted);
+    std::ifstream in(compacted, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(bytes.str(), saved.str());
+
+    // A heap-loaded copy of the merged image re-saves identically.
+    std::istringstream reload(saved.str());
+    std::ostringstream resaved;
+    EnrollmentStore::loadBinary(reload).saveBinary(resaved);
+    EXPECT_EQ(resaved.str(), saved.str());
+    fs::remove(path);
+    fs::remove(compacted);
+}
+
+TEST(EnrollmentStore, IndexOutOfStepWithRecordsIsRejected)
+{
+    const std::string path =
+        writeTestStore("codic_test_index_step.bin", 321, 4);
+    std::string image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        image = bytes.str();
+    }
+    // Point index entry 1 at record 0: ids stay sorted and the
+    // offset stays in range, but the entry names the wrong record.
+    const size_t index = image.size() - 4 * 16;
+    image.replace(index + 16 + 8, 8, image.substr(index + 8, 8));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << image;
+    }
+    std::istringstream in(image);
+    EXPECT_THROW(EnrollmentStore::loadBinary(in), FatalError);
+    // The mapped path opens in O(1) and catches it on access.
+    const EnrollmentStore mm(path);
+    EXPECT_NE(mm.lookup(0), nullptr);
+    EXPECT_THROW(mm.lookup(3), FatalError);
+    fs::remove(path);
+}
+
+TEST(EnrollmentStore, MappedBaseRejectsMissingTruncatedAndCorruptFiles)
+{
+    EXPECT_THROW(EnrollmentStore(tempPath("codic_no_such_store.bin")),
+                 FatalError);
 
     const std::string path =
         writeTestStore("codic_test_mmap_corrupt.bin");
     const auto full = fs::file_size(path);
 
     fs::resize_file(path, full - 4); // Truncated index footer.
-    EXPECT_THROW(MmapEnrollmentStore{path}, FatalError);
+    EXPECT_THROW(EnrollmentStore{path}, FatalError);
 
     fs::resize_file(path, 16); // Header alone.
-    EXPECT_THROW(MmapEnrollmentStore{path}, FatalError);
+    EXPECT_THROW(EnrollmentStore{path}, FatalError);
 
     // Bad magic.
     {
@@ -287,11 +349,11 @@ TEST(MmapEnrollmentStore, RejectsMissingTruncatedAndCorruptFiles)
                                  std::ios::binary);
         f.put('X');
     }
-    EXPECT_THROW(MmapEnrollmentStore{path}, FatalError);
+    EXPECT_THROW(EnrollmentStore{path}, FatalError);
     fs::remove(path);
 }
 
-TEST(MmapEnrollmentStore, SyntheticStoreIsDeterministic)
+TEST(EnrollmentStore, SyntheticStoreIsDeterministic)
 {
     const std::string a = tempPath("codic_test_synth_a.bin");
     const std::string b = tempPath("codic_test_synth_b.bin");
@@ -304,7 +366,7 @@ TEST(MmapEnrollmentStore, SyntheticStoreIsDeterministic)
     bb << fb.rdbuf();
     EXPECT_EQ(ba.str(), bb.str());
 
-    MmapEnrollmentStore mm(a);
+    const EnrollmentStore mm(a);
     EXPECT_EQ(mm.baseRecords(), 100u);
     EXPECT_EQ(mm.populationSeed(), 9u);
     for (uint64_t id : {0ull, 57ull, 99ull}) {
@@ -726,10 +788,6 @@ TEST(RunOptions, RejectsOutOfContractServingOptions)
         o.shed = std::numeric_limits<double>::infinity();
     });
     rejects([](RunOptions &o) { o.store_mmap = true; });
-    rejects([](RunOptions &o) {
-        o.store_mmap = true;
-        o.store_path = "fleet.json"; // No record index to map.
-    });
 }
 
 TEST(RunOptions, AcceptsTheServingDefaultsAndOverrides)

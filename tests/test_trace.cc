@@ -245,6 +245,16 @@ TEST_F(TraceRejection, AbortedRecordingWithoutIndex)
     }
 }
 
+TEST_F(TraceRejection, IndexOffsetNearTheTopOfTheRangeIsRejected)
+{
+    std::string damaged = bytes_;
+    damaged[24] = static_cast<char>(0xFC); // index_offset -> 2^64 - 4,
+    for (size_t i = 25; i < 32; ++i)        // which wraps if 8 is added.
+        damaged[i] = static_cast<char>(0xFF);
+    writeFile(path_, damaged);
+    EXPECT_THROW(TraceReader{path_}, FatalError);
+}
+
 // --- Seeks ------------------------------------------------------------------
 
 TEST(TraceIo, SeekMatchesSequentialDecode)
