@@ -3,9 +3,9 @@
  * The unified Scenario API: every paper figure/table campaign and
  * every ablation/extension study is a named Scenario that runs with
  * shared RunOptions and reports structured rows through a
- * ResultSink. `codic_run --scenario <name>` is the canonical way to
- * reproduce any paper artifact; the bench binaries are thin wrappers
- * over the same registry.
+ * ResultSink. `codic_run --scenario <name>` is the one way to run
+ * any paper artifact or study; the examples and tools drive the same
+ * registry.
  *
  * Determinism: a scenario's structured (non-timing) output must be a
  * pure function of (seed, scale) - in particular independent of

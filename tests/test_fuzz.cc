@@ -3,11 +3,12 @@
  * Property/fuzz tests: long random-but-legal command streams through
  * the DRAM channel, random schedule classification totality, random
  * cache traffic against a reference model, end-to-end determinism
- * checks, and a mutation fuzzer over the enrollment-store format.
+ * checks, and mutation fuzzers over the enrollment-store and trace
+ * formats.
  * These guard the invariants DESIGN.md lists: the JEDEC checker
  * never admits an illegal issue, classification is total,
- * simulations are reproducible from seeds, and a malformed store
- * fails loudly instead of crashing.
+ * simulations are reproducible from seeds, and a malformed store or
+ * trace fails loudly instead of crashing.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "fleet/enrollment_store.h"
 #include "puf/sig_puf.h"
 #include "sim/cache.h"
+#include "trace/trace_io.h"
 
 namespace codic {
 namespace {
@@ -385,6 +387,135 @@ TEST_F(StoreFuzz, OversizedRecordLengthsNeverCrash)
                 mutant[field + b] = static_cast<char>(0xFF);
             check(mutant);
         }
+}
+
+/**
+ * Mutation fuzzer over the trace format: a writer-built trace with
+ * three epochs and a RowOp record is truncated at every length,
+ * XOR-flipped in every header and epoch-index byte, and given an
+ * overlong varint. Each mutant is opened by TraceReader and, when it
+ * opens, decoded by a full TraceCursor pass plus a seek to every
+ * epoch. Either step may throw FatalError or complete; any other
+ * exception, or a crash under the sanitizers, fails the test.
+ */
+class TraceFuzz : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        path_ = (std::filesystem::temp_directory_path() /
+                 "codic_test_trace_fuzz.trace")
+                    .string();
+        TraceMeta meta;
+        meta.scenario = "fuzz";
+        meta.seed = 7;
+        meta.epoch_stride = 4;
+        {
+            TraceWriter writer(path_, meta);
+            for (uint64_t i = 0; i < 10; ++i) {
+                TraceRecord r;
+                r.kind = i % 3 == 2 ? TraceOpKind::RowOp
+                                    : static_cast<TraceOpKind>(3 + i % 2);
+                r.addr = 0x40000 + i * 4160;
+                r.tick = 100 + i * 37;
+                r.origin = i % 4;
+                if (r.kind == TraceOpKind::RowOp) {
+                    r.mech = 1;
+                    r.reserved_row = -3;
+                }
+                writer.append(r);
+            }
+            writer.finish();
+        }
+        std::ifstream in(path_, std::ios::binary);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        image_ = bytes.str();
+        // Records start where the first epoch does; the footer index
+        // is a u64 epoch count plus one 24-byte entry per epoch.
+        const TraceReader reader(path_);
+        ASSERT_EQ(reader.epochs().size(), 3u);
+        header_bytes_ =
+            static_cast<size_t>(reader.epochs()[0].file_offset);
+        index_offset_ = image_.size() - 8 - 3 * 24;
+    }
+
+    void TearDown() override { std::filesystem::remove(path_); }
+
+    /** Run one mutant through the reader; true when it threw. */
+    bool
+    check(const std::string &mutant)
+    {
+        {
+            std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+            out.write(mutant.data(),
+                      static_cast<std::streamsize>(mutant.size()));
+        }
+        try {
+            const TraceReader reader(path_);
+            TraceRecord r;
+            TraceCursor all = reader.cursor();
+            while (all.next(r)) {
+            }
+            for (size_t e = 0; e < reader.epochs().size(); ++e)
+                reader.seekToRecord(e * reader.meta().epoch_stride);
+        } catch (const FatalError &) {
+            return true;
+        }
+        return false;
+    }
+
+    std::string path_;
+    std::string image_;
+    size_t header_bytes_ = 0;
+    size_t index_offset_ = 0;
+};
+
+TEST_F(TraceFuzz, UnmutatedTraceDecodes)
+{
+    EXPECT_FALSE(check(image_));
+}
+
+TEST_F(TraceFuzz, EveryTruncationThrows)
+{
+    for (size_t len = 0; len < image_.size(); ++len)
+        EXPECT_TRUE(check(image_.substr(0, len)))
+            << "truncation to " << len << " bytes was accepted";
+}
+
+TEST_F(TraceFuzz, HeaderAndEpochIndexByteFlipsNeverCrash)
+{
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < header_bytes_; ++i)
+        positions.push_back(i);
+    for (size_t i = index_offset_; i < image_.size(); ++i)
+        positions.push_back(i);
+    for (size_t pos : positions)
+        for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+            std::string mutant = image_;
+            mutant[pos] = static_cast<char>(mutant[pos] ^ mask);
+            check(mutant);
+        }
+}
+
+TEST_F(TraceFuzz, OverlongVarintThrows)
+{
+    // The first record's tick delta becomes ten continuation bytes.
+    std::string mutant = image_;
+    for (size_t b = 1; b <= 10; ++b)
+        mutant[header_bytes_ + b] = static_cast<char>(0x80);
+    EXPECT_TRUE(check(mutant));
+    try {
+        const TraceReader reader(path_);
+        TraceRecord r;
+        reader.cursor().next(r);
+        ADD_FAILURE() << "overlong varint was decoded";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("overlong varint"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -2,50 +2,35 @@
 """Benchmark-trajectory report over the codic_run scenarios.
 
 Runs the bench_hotpath microbenchmark plus the fleet + scheduler +
-refresh + QoS + thermal/co-sim scenarios, extracts the hot path's
-wall-clock throughput and the scenarios' *modeled* metrics (makespan,
-latency percentiles, read-queue latencies, energy, thermal peaks,
-contention slowdowns - deterministic, machine-independent values)
-into a BENCH_PR10.json trajectory file, and gates on five conditions
-(plus the thermal closed-loop invariants, which are hard errors in
-the extractors themselves):
+refresh + QoS + serving + thermal/co-sim scenarios, extracts the hot
+path's wall-clock throughput and the scenarios' *modeled* metrics
+(makespan, latency percentiles, read-queue latencies, energy, thermal
+peaks, contention slowdowns - deterministic, machine-independent
+values) into a BENCH_PR10.json trajectory file, and checks every
+scenario document it runs against tools/contracts.py, the one place
+the per-run checks on scenario output live.
 
-  1. No lower-is-better metric regresses more than --tolerance
-     (default 15%) against the committed baseline. Metrics absent
-     from the baseline (e.g. the ablation_refresh read-queue
-     entries, which predate no baseline) are tolerated and simply
-     recorded, and scenarios the baseline has never seen (e.g.
-     trace_replay@sample) are warned about, never a failure.
+Its own gates are the three that compare runs:
+
+  1. No lower-is-better modeled metric regresses more than TOLERANCE
+     (15%) against the committed baseline. Metrics and scenarios
+     absent from the baseline are recorded without gating.
   2. The batched bank-parallel shard replay improves the 8-shard
-     fleet_scaling makespan by at least --min-improvement percent
-     (default 20%) over the eager single-request replay.
-  3. The batched preset's 8-wide read-reordering window improves
-     mean read latency on the row-conflict stream by at least
-     --min-read-window-improvement percent (default 20%) over
-     strict arrival order.
-  4. bench_hotpath wall-clock throughput (transactions/sec, derived
-     here from the transaction count over the median of its
-     repeated wall_s samples) does not regress more than
-     --hotpath-tolerance (default 15%) below the pinned baseline's
-     txn_per_sec. Throughput is the one wall-clock metric gated on:
-     the baseline is pinned per runner class and the tolerance is
-     generous, so only a genuine hot-path slowdown trips it.
-  5. The serving preset improves p99 latency of the urgent
-     (authenticate-class) reads of the ablation_qos priority storm
-     by at least --min-qos-improvement percent (default 20%) over
-     the refresh-matched priority-blind batched policy.
+     fleet_scaling makespan by at least MIN_IMPROVEMENT_PCT (20%)
+     over the eager single-request replay.
+  3. bench_hotpath wall-clock throughput (transactions over the
+     median of its repeated wall_s samples) does not drop more than
+     HOTPATH_TOLERANCE (15%) below the baseline's txn_per_sec. The
+     baseline is pinned per runner class, so only a genuine hot-path
+     slowdown trips it.
 
-Scenario wall-clock values (wall_s) are still recorded for telemetry
-when present but never gated on: only modeled values are comparable
-across machines.
+Scenario wall_s values (--timings) are telemetry, never gated: only
+modeled values are comparable across machines.
 
 Usage:
   bench_report.py --build-dir build --out BENCH_PR10.json \
-      [--baseline bench/BENCH_baseline.json] [--tolerance 0.15] \
-      [--hotpath-tolerance 0.15] [--min-improvement 20] \
-      [--min-read-window-improvement 20] \
-      [--min-qos-improvement 20] [--write-baseline FILE] \
-      [--skip-hotpath]
+      [--baseline bench/BENCH_baseline.json] [--write-baseline FILE] \
+      [--skip-hotpath] [--timings]
 """
 
 import argparse
@@ -55,21 +40,21 @@ import subprocess
 import sys
 import tempfile
 
+import contracts
+
 SCHEMA = "codic-bench-trajectory-v2"
 
-# Hot-path throughput measured at the commit immediately before the
-# raw-speed overhaul (arena ticket records, SoA bank state, pow2
-# address decode), same machine and bench_hotpath defaults as the
-# numbers recorded under "hotpath" - the before/after pair the
-# overhaul's >= 2x replay-throughput acceptance was judged on.
-HOTPATH_PRE_PR6 = {
-    "closed_loop_txn_per_sec": 2892607.0,
-    "replay_txn_per_sec": 6798119.0,
-}
+TOLERANCE = 0.15
+HOTPATH_TOLERANCE = 0.15
+MIN_IMPROVEMENT_PCT = 20.0
 
-# Scenario runs: name -> (codic_run args, extractor key).
 BENCH_SCALE = "0.25"
 FLEET_ARGS = ["--devices", "1000", "--requests", "20000"]
+
+# Committed sample trace replayed for the trajectory (relative to
+# the repository root, where CI invokes this script).
+SAMPLE_TRACE = os.path.join("bench", "traces",
+                            "ablation_scheduler_seed1.trace")
 
 
 def run_codic(build_dir, args, timings):
@@ -119,134 +104,79 @@ def run_hotpath(build_dir):
             "median_wall_s": median_wall_s,
             "txn_per_sec": loop["transactions"] / median_wall_s,
         }
-    hotpath["pre_pr6_reference"] = dict(HOTPATH_PRE_PR6)
-    if "replay" in hotpath:
-        hotpath["pre_pr6_reference"]["replay_speedup_vs_pre"] = (
-            hotpath["replay"]["txn_per_sec"] /
-            HOTPATH_PRE_PR6["replay_txn_per_sec"])
-    if "closed_loop" in hotpath:
-        hotpath["pre_pr6_reference"]["closed_loop_speedup_vs_pre"] = (
-            hotpath["closed_loop"]["txn_per_sec"] /
-            HOTPATH_PRE_PR6["closed_loop_txn_per_sec"])
     return hotpath
 
 
-def rows(doc, predicate):
-    return [r for scenario in doc for r in scenario["rows"]
-            if predicate(r)]
+def first(doc, predicate, what):
+    """First row matching `predicate`; exits when none was emitted."""
+    for scenario in doc:
+        for r in scenario["rows"]:
+            if predicate(r):
+                return r
+    raise SystemExit(f"bench_report: no {what} row emitted")
+
+
+def with_wall(r, out):
+    """Add the row's wall-clock telemetry (--timings) to `out`."""
+    if "wall_s" in r:
+        out["wall_s"] = r["wall_s"]
+    return out
 
 
 def latency_metrics(doc):
     """Metrics of a scenario that emits a modeled-latency row.
 
     These scenarios report summed service time (total_service_ms),
-    not a makespan - the makespan_ms field stays null so the two
-    metrics are never conflated across scenarios.
+    not a makespan, so the two metrics are never conflated.
     """
-    lat = rows(doc, lambda r: "p99_us" in r)
-    if not lat:
-        raise SystemExit("bench_report: no latency row emitted")
-    r = lat[0]
-    out = {
-        "makespan_ms": None,
+    r = first(doc, lambda r: "p99_us" in r, "latency")
+    return with_wall(r, {
         "total_service_ms": r["total_service_ms"],
         "p50_us": r["p50_us"],
         "p95_us": r["p95_us"],
         "p99_us": r["p99_us"],
         "energy_mj": r["energy_mj"],
-    }
-    if "wall_s" in r:
-        out["wall_s"] = r["wall_s"]
-    return out
+    })
 
 
 def scaling_metrics(doc, shards):
-    """8-shard makespan of a fleet_scaling sweep."""
-    pts = rows(doc, lambda r: r.get("shards") == shards and
-               "makespan_ms" in r)
-    if not pts:
-        raise SystemExit(
-            f"bench_report: no scaling row for {shards} shards")
-    r = pts[0]
-    out = {
+    """Makespan of one shard count of a fleet_scaling sweep."""
+    r = first(doc, lambda r: r.get("shards") == shards and
+              "makespan_ms" in r, f"{shards}-shard scaling")
+    return with_wall(r, {
         "makespan_ms": r["makespan_ms"],
-        "p50_us": None,
-        "p95_us": None,
-        "p99_us": None,
-        "energy_mj": None,
         "speedup_vs_1_shard": r["speedup_vs_1_shard"],
-    }
-    if "wall_s" in r:
-        out["wall_s"] = r["wall_s"]
-    return out
+    })
 
 
 def ablation_metrics(doc):
     """Batched replay point of the ablation_scheduler sweep."""
-    pts = rows(doc, lambda r: r.get("replay_batch") == 8 and
-               "makespan_ms" in r)
-    if not pts:
-        raise SystemExit(
-            "bench_report: no replay_batch=8 ablation row")
-    r = pts[0]
+    r = first(doc, lambda r: r.get("replay_batch") == 8 and
+              "makespan_ms" in r, "replay_batch=8 ablation")
     return {
         "makespan_ms": r["makespan_ms"],
-        "p50_us": None,
-        "p95_us": None,
-        "p99_us": None,
-        "energy_mj": None,
         "speedup_vs_serial": r["speedup_vs_serial"],
     }
 
 
 def read_window_metrics(doc, window):
     """Read-queue metrics of one ablation_refresh window point."""
-    pts = rows(doc, lambda r: r.get("read_window") == window)
-    if not pts:
-        raise SystemExit(
-            f"bench_report: no read_window={window} refresh-ablation "
-            "row")
-    r = pts[0]
+    r = first(doc, lambda r: r.get("read_window") == window,
+              f"read_window={window} refresh-ablation")
     return {
         "makespan_ms": r["makespan_us"] / 1e3,
-        "total_service_ms": None,
         "p50_us": r["read_p50_us"],
         "p95_us": r["read_p95_us"],
-        "p99_us": None,
-        "energy_mj": None,
         "read_mean_us": r["read_mean_us"],
         "activations": r["activations"],
     }
 
 
 def thermal_metrics(doc):
-    """Closed-loop summary of a thermal_feedback run.
-
-    The idle-convergence and monotone-response invariants are hard
-    gates here (they are the subsystem's correctness contract, not a
-    performance trajectory); the peak temperature and flip response
-    are recorded as telemetry.
-    """
-    pts = rows(doc, lambda r: "idle_matches_static" in r)
-    if not pts:
-        raise SystemExit("bench_report: no thermal_feedback summary "
-                         "row emitted")
-    r = pts[0]
-    if not r["idle_matches_static"]:
-        raise SystemExit("bench_report: thermal_feedback idle epochs "
-                         "diverged from the static paper numbers")
-    if not (r["flip_response_nonzero"] and
-            r["flip_response_monotone"]):
-        raise SystemExit("bench_report: thermal_feedback storm did "
-                         "not produce a monotone nonzero flip "
-                         "response")
+    """Closed-loop summary of a thermal_feedback run."""
+    r = first(doc, lambda r: "idle_matches_static" in r,
+              "thermal_feedback summary")
     return {
-        "makespan_ms": None,
-        "total_service_ms": None,
-        "p50_us": None,
-        "p95_us": None,
-        "p99_us": None,
-        "energy_mj": None,
         "storm_peak_temp_c": r["storm_peak_temp_c"],
         "min_mean_jaccard": r["min_mean_jaccard"],
     }
@@ -254,40 +184,21 @@ def thermal_metrics(doc):
 
 def contention_metrics(doc, cores):
     """Aggregate slowdown of one multicore_contention core count."""
-    pts = rows(doc, lambda r: r.get("cores") == cores and
-               "mean_slowdown" in r)
-    if not pts:
-        raise SystemExit(
-            f"bench_report: no contention summary for {cores} cores")
-    r = pts[0]
+    r = first(doc, lambda r: r.get("cores") == cores and
+              "mean_slowdown" in r, f"{cores}-core contention summary")
     return {
         "makespan_ms": r["makespan_us"] / 1e3,
-        "total_service_ms": None,
-        "p50_us": None,
-        "p95_us": None,
-        "p99_us": None,
-        "energy_mj": None,
         "mean_slowdown": r["mean_slowdown"],
     }
 
 
 def qos_metrics(doc):
-    """QoS summary of an ablation_qos run: urgent-read p99 of the
-    priority storm under the serving preset (gated lower-is-better as
-    p99_us) plus the improvement percentages the >= 20% gate and the
-    trajectory record."""
-    pts = rows(doc, lambda r: "storm_p99_improvement_pct" in r)
-    if not pts:
-        raise SystemExit("bench_report: no ablation_qos improvement "
-                         "row emitted")
-    r = pts[0]
+    """Urgent-read p99 of the ablation_qos priority storm under the
+    serving preset (gated as p99_us) plus the improvement record."""
+    r = first(doc, lambda r: "storm_p99_improvement_pct" in r,
+              "ablation_qos improvement")
     return {
-        "makespan_ms": None,
-        "total_service_ms": None,
-        "p50_us": None,
-        "p95_us": None,
         "p99_us": r["storm_p99_serving_us"],
-        "energy_mj": None,
         "storm_p99_blind_us": r["storm_p99_blind_us"],
         "storm_p99_improvement_pct": r["storm_p99_improvement_pct"],
         "fleet_p99_blind_us": r["fleet_p99_blind_us"],
@@ -297,176 +208,112 @@ def qos_metrics(doc):
 
 
 def overload_metrics(doc):
-    """Serving gates of a fleet_overload sweep: the bounded-p99 /
-    monotone-shed / urgent-protection properties are hard gates here
-    (they are the admission controller's contract, not a performance
-    trajectory); the worst admitted urgent p99 over the sweep is
-    gated lower-is-better as p99_us."""
-    pts = rows(doc, lambda r: "p99_bounded" in r)
-    if not pts:
-        raise SystemExit("bench_report: no fleet_overload summary "
-                         "row emitted")
-    r = pts[0]
-    if not r["p99_bounded"]:
-        raise SystemExit("bench_report: fleet_overload admitted "
-                         "urgent p99 exceeded 2x its in-capacity "
-                         "value")
-    if not r["shed_monotone"]:
-        raise SystemExit("bench_report: fleet_overload shed rate "
-                         "did not rise monotonically with offered "
-                         "load")
-    if not r["urgent_protected"]:
-        raise SystemExit("bench_report: fleet_overload shed urgent "
-                         "traffic ahead of best-effort")
-    sweep = rows(doc, lambda r: "offered_over_capacity" in r)
-    out = {
-        "makespan_ms": None,
-        "total_service_ms": None,
-        "p50_us": None,
-        "p95_us": None,
+    """Worst admitted urgent p99 of a fleet_overload sweep (gated as
+    p99_us) plus the capacity and the shed-rate curve."""
+    r = first(doc, lambda r: "p99_bounded" in r,
+              "fleet_overload summary")
+    return {
         "p99_us": r["worst_urgent_p99_us"],
-        "energy_mj": None,
         "capacity_krps": r["capacity_krps"],
         "in_capacity_urgent_p99_us": r["in_capacity_urgent_p99_us"],
-        "shed_rate_curve": [p["shed_rate"] for p in sweep],
+        "shed_rate_curve": [
+            p["shed_rate"] for s in doc for p in s["rows"]
+            if "offered_over_capacity" in p],
     }
-    return out
 
 
 def region_metrics(doc):
     """Global roll-up of a fleet_region_serving storm: fleet-wide
-    modeled percentiles and energy over every region's admitted
-    requests (gated lower-is-better), plus the global shed rate."""
-    pts = rows(doc, lambda r: "regions" in r and "latency_p99_us" in r)
-    if not pts:
-        raise SystemExit("bench_report: no fleet_region_serving "
-                         "global roll-up row emitted")
-    r = pts[0]
-    out = {
-        "makespan_ms": None,
-        "total_service_ms": None,
+    modeled percentiles and energy (gated) plus the shed rate."""
+    r = first(doc, lambda r: "regions" in r and "latency_p99_us" in r,
+              "fleet_region_serving global roll-up")
+    return with_wall(r, {
         "p50_us": r["latency_p50_us"],
         "p95_us": r["latency_p95_us"],
         "p99_us": r["latency_p99_us"],
         "energy_mj": r["energy_mj"],
         "regions": r["regions"],
         "shed_rate": r["shed_rate"],
-    }
-    if "wall_s" in r:
-        out["wall_s"] = r["wall_s"]
-    return out
+    })
 
 
 def trace_replay_metrics(doc):
     """Modeled metrics of a trace_replay run."""
-    pts = rows(doc, lambda r: "read_p99_us" in r and "records" in r)
-    if not pts:
-        raise SystemExit("bench_report: no trace-replay row emitted")
-    r = pts[0]
+    r = first(doc, lambda r: "read_p99_us" in r and "records" in r,
+              "trace-replay")
     return {
         "makespan_ms": r["makespan_ms"],
-        "total_service_ms": None,
         "p50_us": r["read_p50_us"],
         "p95_us": r["read_p95_us"],
         "p99_us": r["read_p99_us"],
-        "energy_mj": None,
         "records": r["records"],
         "activations": r["activations"],
     }
 
 
-# Committed sample trace replayed for the trajectory (relative to
-# the repository root, where CI invokes this script).
-SAMPLE_TRACE = os.path.join("bench", "traces",
-                            "ablation_scheduler_seed1.trace")
-
-
 def collect(build_dir, timings, skip_hotpath):
+    """Run everything; returns (report, contract failures)."""
     report = {"schema": SCHEMA, "scenarios": {}, "derived": {},
               "hotpath": {}}
     if not skip_hotpath:
         report["hotpath"] = run_hotpath(build_dir)
-    s = report["scenarios"]
+    failures = []
 
-    s["fleet_auth_load"] = latency_metrics(run_codic(
-        build_dir, ["--scenario", "fleet_auth_load", *FLEET_ARGS],
-        timings))
-    s["fleet_mixed"] = latency_metrics(run_codic(
-        build_dir, ["--scenario", "fleet_mixed", *FLEET_ARGS],
-        timings))
-    s["fleet_scaling@8shards:batched"] = scaling_metrics(run_codic(
-        build_dir, ["--scenario", "fleet_scaling", "--scale",
-                    BENCH_SCALE, "--shards", "8"], timings), 8)
-    s["fleet_scaling@8shards:eager"] = scaling_metrics(run_codic(
-        build_dir, ["--scenario", "fleet_scaling", "--scale",
-                    BENCH_SCALE, "--shards", "8", "--sched", "eager"],
-        timings), 8)
-    s["ablation_scheduler@replay8"] = ablation_metrics(run_codic(
-        build_dir, ["--scenario", "ablation_scheduler", "--scale",
-                    BENCH_SCALE], timings))
-    # Read-queue metrics of the transaction-based controller: the
-    # batched preset's 8-wide read-reordering window against the
-    # strict arrival-order window=1 point of the same sweep. Absent
-    # from pre-redesign baselines; check_regressions tolerates that.
-    refresh_doc = run_codic(
-        build_dir, ["--scenario", "ablation_refresh", "--scale",
-                    BENCH_SCALE], timings)
-    s["ablation_refresh@window1"] = read_window_metrics(
-        refresh_doc, 1)
-    s["ablation_refresh@window8"] = read_window_metrics(
-        refresh_doc, 8)
-    # Replay of the committed sample trace. A missing trace file is a
-    # warning, not an error: the metrics predate no baseline and the
+    def run(scenario, *args):
+        doc = run_codic(build_dir, ["--scenario", scenario, *args],
+                        timings)
+        failures.extend(f"contract {f}" for f in contracts.check(doc))
+        return doc
+
+    scaled = ("--scale", BENCH_SCALE)
+    s = report["scenarios"]
+    s["fleet_auth_load"] = latency_metrics(
+        run("fleet_auth_load", *FLEET_ARGS))
+    s["fleet_mixed"] = latency_metrics(run("fleet_mixed", *FLEET_ARGS))
+    s["fleet_scaling@8shards:batched"] = scaling_metrics(
+        run("fleet_scaling", *scaled, "--shards", "8"), 8)
+    s["fleet_scaling@8shards:eager"] = scaling_metrics(
+        run("fleet_scaling", *scaled, "--shards", "8", "--sched",
+            "eager"), 8)
+    s["ablation_scheduler@replay8"] = ablation_metrics(
+        run("ablation_scheduler", *scaled))
+    # The batched preset's 8-wide read-reordering window against the
+    # strict arrival-order window=1 point of the same sweep.
+    refresh_doc = run("ablation_refresh", *scaled)
+    s["ablation_refresh@window1"] = read_window_metrics(refresh_doc, 1)
+    s["ablation_refresh@window8"] = read_window_metrics(refresh_doc, 8)
+    # A missing sample trace is a warning, not an error: the
     # trajectory must keep working from a partial checkout.
     if os.path.exists(SAMPLE_TRACE):
-        s["trace_replay@sample"] = trace_replay_metrics(run_codic(
-            build_dir, ["--scenario", "trace_replay", "--trace",
-                        SAMPLE_TRACE], timings))
+        s["trace_replay@sample"] = trace_replay_metrics(
+            run("trace_replay", "--trace", SAMPLE_TRACE))
     else:
         print(f"bench_report: WARNING: sample trace {SAMPLE_TRACE} "
               "not found; skipping trace_replay metrics",
               file=sys.stderr)
-
-    # Co-sim / thermal scenarios: deterministic modeled metrics with
-    # the closed-loop invariants as hard gates. Absent from older
-    # baselines; check_regressions records them with a warning.
-    s["thermal_feedback"] = thermal_metrics(run_codic(
-        build_dir, ["--scenario", "thermal_feedback", "--scale",
-                    BENCH_SCALE], timings))
-    s["multicore_contention@8cores"] = contention_metrics(run_codic(
-        build_dir, ["--scenario", "multicore_contention", "--scale",
-                    BENCH_SCALE, "--cores", "8"], timings), 8)
-
-    # QoS ablation: serving-preset priority scheduling against the
-    # refresh-matched priority-blind baseline. Absent from older
-    # baselines; check_regressions records it with a warning.
-    s["ablation_qos"] = qos_metrics(run_codic(
-        build_dir, ["--scenario", "ablation_qos", "--scale",
-                    BENCH_SCALE], timings))
-
-    # Serving-layer scenarios: admission-control overload sweep and
-    # the multi-region storm, with the serving contracts (bounded
-    # admitted p99, monotone shed, urgent protection) as hard gates
-    # in the extractors. Absent from older baselines;
-    # check_regressions records them with a warning.
-    s["fleet_overload"] = overload_metrics(run_codic(
-        build_dir, ["--scenario", "fleet_overload", "--scale",
-                    BENCH_SCALE], timings))
-    s["fleet_region_serving"] = region_metrics(run_codic(
-        build_dir, ["--scenario", "fleet_region_serving", "--scale",
-                    BENCH_SCALE], timings))
+    s["thermal_feedback"] = thermal_metrics(
+        run("thermal_feedback", *scaled))
+    s["multicore_contention@8cores"] = contention_metrics(
+        run("multicore_contention", *scaled, "--cores", "8"), 8)
+    s["ablation_qos"] = qos_metrics(run("ablation_qos", *scaled))
+    s["fleet_overload"] = overload_metrics(
+        run("fleet_overload", *scaled))
+    s["fleet_region_serving"] = region_metrics(
+        run("fleet_region_serving", *scaled))
 
     eager = s["fleet_scaling@8shards:eager"]["makespan_ms"]
     batched = s["fleet_scaling@8shards:batched"]["makespan_ms"]
-    report["derived"]["fleet_scaling_batched_improvement_pct"] = (
-        100.0 * (1.0 - batched / eager))
     w1 = s["ablation_refresh@window1"]["read_mean_us"]
     w8 = s["ablation_refresh@window8"]["read_mean_us"]
-    report["derived"]["read_window_mean_latency_improvement_pct"] = (
-        100.0 * (1.0 - w8 / w1))
-    report["derived"]["qos_storm_p99_improvement_pct"] = (
-        s["ablation_qos"]["storm_p99_improvement_pct"])
-    return report
+    report["derived"] = {
+        "fleet_scaling_batched_improvement_pct":
+            100.0 * (1.0 - batched / eager),
+        "read_window_mean_latency_improvement_pct":
+            100.0 * (1.0 - w8 / w1),
+        "qos_storm_p99_improvement_pct":
+            s["ablation_qos"]["storm_p99_improvement_pct"],
+    }
+    return report, failures
 
 
 # Lower-is-better metric keys gated against the baseline.
@@ -474,7 +321,7 @@ GATED = ("makespan_ms", "total_service_ms", "p50_us", "p95_us",
          "p99_us", "energy_mj")
 
 
-def check_regressions(report, baseline, tolerance):
+def check_regressions(report, baseline):
     failures = []
     # Scenarios the report has but the baseline predates are
     # recorded without gating - a warning, never a KeyError, so a
@@ -495,32 +342,30 @@ def check_regressions(report, baseline, tolerance):
             new = new_metrics.get(key)
             if base is None or new is None:
                 continue
-            if new > base * (1.0 + tolerance):
+            if new > base * (1.0 + TOLERANCE):
                 failures.append(
                     f"{name}.{key}: {new:.4g} regressed "
-                    f">{tolerance:.0%} over baseline {base:.4g}")
+                    f">{TOLERANCE:.0%} over baseline {base:.4g}")
     return failures
 
 
-def check_hotpath(report, baseline, tolerance):
+def check_hotpath(report, baseline):
     """Wall-clock throughput gate: higher is better, so a loop fails
-    when its txn_per_sec drops more than `tolerance` below the pinned
-    baseline. Loops absent from the baseline are recorded only."""
+    when its txn_per_sec drops more than HOTPATH_TOLERANCE below the
+    pinned baseline. Loops absent from the baseline are recorded
+    only."""
     failures = []
     for name, base_loop in baseline.get("hotpath", {}).items():
         if not isinstance(base_loop, dict):
             continue
         base = base_loop.get("txn_per_sec")
-        new_loop = report.get("hotpath", {}).get(name)
-        if base is None or new_loop is None:
+        new = report.get("hotpath", {}).get(name, {}).get("txn_per_sec")
+        if base is None or new is None:
             continue
-        new = new_loop.get("txn_per_sec")
-        if new is None:
-            continue
-        if new < base * (1.0 - tolerance):
+        if new < base * (1.0 - HOTPATH_TOLERANCE):
             failures.append(
                 f"hotpath.{name}.txn_per_sec: {new:,.0f} regressed "
-                f">{tolerance:.0%} below baseline {base:,.0f}")
+                f">{HOTPATH_TOLERANCE:.0%} below baseline {base:,.0f}")
     return failures
 
 
@@ -530,29 +375,9 @@ def main():
     ap.add_argument("--out", default="BENCH_PR10.json")
     ap.add_argument("--baseline", default=None,
                     help="committed baseline to gate against")
-    ap.add_argument("--tolerance", type=float, default=0.15)
-    ap.add_argument("--hotpath-tolerance", type=float, default=0.15,
-                    help="allowed wall-clock throughput drop of a "
-                         "bench_hotpath loop below the baseline's "
-                         "txn_per_sec")
     ap.add_argument("--skip-hotpath", action="store_true",
                     help="skip the bench_hotpath wall-clock runs "
                          "(e.g. on sanitizer builds)")
-    ap.add_argument("--min-improvement", type=float, default=20.0,
-                    help="required batched-vs-eager fleet_scaling "
-                         "makespan improvement (percent)")
-    ap.add_argument("--min-read-window-improvement", type=float,
-                    default=20.0,
-                    help="required mean read-latency improvement of "
-                         "the batched preset's read-reordering "
-                         "window over strict arrival order "
-                         "(percent)")
-    ap.add_argument("--min-qos-improvement", type=float,
-                    default=20.0,
-                    help="required urgent-read p99 improvement of "
-                         "the serving preset over the priority-blind "
-                         "baseline in the ablation_qos storm "
-                         "(percent)")
     ap.add_argument("--timings", action="store_true",
                     help="record wall-clock telemetry in the report")
     ap.add_argument("--write-baseline", default=None,
@@ -560,61 +385,33 @@ def main():
                          "telemetry) as a new baseline file")
     args = ap.parse_args()
 
-    report = collect(args.build_dir, args.timings,
-                     args.skip_hotpath)
+    report, failures = collect(args.build_dir, args.timings,
+                               args.skip_hotpath)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"bench_report: wrote {args.out}")
 
-    for name in ("closed_loop", "replay"):
-        loop = report["hotpath"].get(name)
-        if loop:
-            print(f"bench_report: hotpath {name}: "
-                  f"{loop['txn_per_sec']:,.0f} txn/s "
-                  f"(median of {len(loop['wall_s'])})")
+    for name, loop in sorted(report["hotpath"].items()):
+        print(f"bench_report: hotpath {name}: "
+              f"{loop['txn_per_sec']:,.0f} txn/s "
+              f"(median of {len(loop['wall_s'])})")
+    for name, value in sorted(report["derived"].items()):
+        print(f"bench_report: {name}: {value:.1f}")
 
     improvement = report["derived"][
         "fleet_scaling_batched_improvement_pct"]
-    print(f"bench_report: batched vs eager 8-shard makespan "
-          f"improvement: {improvement:.1f}%")
-
-    window_improvement = report["derived"][
-        "read_window_mean_latency_improvement_pct"]
-    print(f"bench_report: read-window mean read-latency improvement "
-          f"(window 8 vs 1, batched preset): "
-          f"{window_improvement:.1f}%")
-
-    qos_improvement = report["derived"][
-        "qos_storm_p99_improvement_pct"]
-    print(f"bench_report: serving vs priority-blind urgent-read p99 "
-          f"improvement (ablation_qos storm): "
-          f"{qos_improvement:.1f}%")
-
-    failures = []
-    if improvement < args.min_improvement:
+    if improvement < MIN_IMPROVEMENT_PCT:
         failures.append(
             f"batched replay improvement {improvement:.1f}% is below "
-            f"the required {args.min_improvement:.0f}%")
-    if window_improvement < args.min_read_window_improvement:
-        failures.append(
-            f"read-window latency improvement "
-            f"{window_improvement:.1f}% is below the required "
-            f"{args.min_read_window_improvement:.0f}%")
-    if qos_improvement < args.min_qos_improvement:
-        failures.append(
-            f"QoS urgent-read p99 improvement "
-            f"{qos_improvement:.1f}% is below the required "
-            f"{args.min_qos_improvement:.0f}%")
+            f"the required {MIN_IMPROVEMENT_PCT:.0f}%")
 
     if args.baseline:
         with open(args.baseline) as f:
             baseline = json.load(f)
-        failures += check_regressions(report, baseline,
-                                      args.tolerance)
+        failures += check_regressions(report, baseline)
         if not args.skip_hotpath:
-            failures += check_hotpath(report, baseline,
-                                      args.hotpath_tolerance)
+            failures += check_hotpath(report, baseline)
 
     if args.write_baseline:
         clean = json.loads(json.dumps(report))
@@ -625,8 +422,7 @@ def main():
         clean["hotpath"] = {
             name: {"txn_per_sec": loop["txn_per_sec"],
                    "transactions": loop["transactions"]}
-            for name, loop in clean.get("hotpath", {}).items()
-            if isinstance(loop, dict) and "txn_per_sec" in loop
+            for name, loop in clean["hotpath"].items()
         }
         with open(args.write_baseline, "w") as f:
             json.dump(clean, f, indent=2, sort_keys=True)
