@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "common/logging.h"
 
@@ -245,15 +244,6 @@ struct RunOptions
         if (cores < 0)
             fatal("RunOptions: cores must be >= 0 (0 = scenario "
                   "default), got ", cores);
-    }
-
-    /** Threads that will actually run (resolves 0 to the hardware). */
-    int resolvedThreads() const
-    {
-        if (threads > 0)
-            return threads;
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw ? static_cast<int>(hw) : 1;
     }
 
     /**

@@ -1,46 +1,159 @@
 #include "dram/config.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <sstream>
 
 #include "common/logging.h"
+#include "common/option_table.h"
 
 namespace codic {
+
+namespace {
+
+/** One --sched preset: its name, its `--sched help` blurb, its policy. */
+struct SchedPreset
+{
+    const char *name;
+    const char *help;
+    SchedulerPolicy policy;
+};
+
+/** The --sched presets, in documentation order. */
+const SchedPreset kSchedPresets[] = {
+    {"eager",
+     "legacy policy pinning the paper numbers: every\n"
+     "write issues at acceptance, strict arrival-order\n"
+     "reads, serial fleet replay, refresh off",
+     SchedulerPolicy{}},
+    {"batched",
+     "serving-stack default: 75/25 drain watermarks,\n"
+     "16-deep row-hit drain batches, 8-deep replay\n"
+     "slices, 8-wide read-reordering window",
+     {.drain_high_pct = 75, .drain_low_pct = 25, .max_drain_batch = 16,
+      .replay_batch = 8, .read_window = 8}},
+    {"aggressive",
+     "90/10 watermarks, 32-deep row-hit batches,\n"
+     "16-deep replay slices, 16-wide read window,\n"
+     "8/2 per-bank drain watermarks",
+     {.drain_high_pct = 90, .drain_low_pct = 10, .max_drain_batch = 32,
+      .replay_batch = 16, .read_window = 16, .bank_drain_high = 8,
+      .bank_drain_low = 2}},
+    // QoS preset for mixed fleet traffic: batched-style drains with
+    // higher watermarks (writes buffer longer, so urgent reads see a
+    // clear bus), a wide read window for priority selection to work
+    // in, refresh on with mild postponement, and priority-aware
+    // scheduling enabled.
+    {"serving",
+     "QoS preset for mixed fleet traffic: 85/35\n"
+     "watermarks, 16-wide read window, 8/2 per-bank\n"
+     "watermarks, refresh=auto with postpone 4, and\n"
+     "priority=on (urgent reads preempt background\n"
+     "traffic within the 16-bypass starvation bound)",
+     {.drain_high_pct = 85, .drain_low_pct = 35, .max_drain_batch = 16,
+      .replay_batch = 8, .read_window = 16, .bank_drain_high = 8,
+      .bank_drain_low = 2, .auto_refresh = true, .refresh_postpone = 4,
+      .priority_sched = true}},
+};
+
+/**
+ * One --sched knob: an integer `field` with its valid range, or a
+ * `choices` list ("a|b|c") whose matched index `choose` applies.
+ */
+struct SchedKnob
+{
+    const char *name;
+    const char *help;
+    int SchedulerPolicy::*field = nullptr;
+    int min = 0;
+    int max = std::numeric_limits<int>::max();
+    const char *choices = nullptr;
+    void (*choose)(SchedulerPolicy &, int choice) = nullptr;
+};
+
+/** The --sched knobs, in documentation order. */
+const SchedKnob kSchedKnobs[] = {
+    {"drain_high_pct",
+     "write-queue % occupancy starting a drain\n"
+     "episode (0 = drain at every write)",
+     &SchedulerPolicy::drain_high_pct, 0, 100},
+    {"drain_low_pct", "% occupancy where a drain episode stops",
+     &SchedulerPolicy::drain_low_pct, 0, 100},
+    {"max_drain_batch", "same-row writes coalesced per drain batch",
+     &SchedulerPolicy::max_drain_batch, 1},
+    {"replay_batch", "fleet shard requests replayed bank-parallel",
+     &SchedulerPolicy::replay_batch, 1},
+    {"read_window",
+     "read-queue heads considered for row-hit\n"
+     "bypass (1 = strict arrival order)",
+     &SchedulerPolicy::read_window, 1},
+    {"bank_drain_high",
+     "per-bank pending writes triggering a\n"
+     "bank-local drain (0 = disabled)",
+     &SchedulerPolicy::bank_drain_high},
+    {"bank_drain_low", "per-bank occupancy where that drain stops",
+     &SchedulerPolicy::bank_drain_low},
+    {.name = "refresh",
+     .help = "controller-injected refresh: 'auto' = one\n"
+             "all-bank REF per rank every tREFI;\n"
+             "'per-bank' = REFpb every tREFIpb\n"
+             "(tREFI/banks), round-robin over the banks,\n"
+             "occupying only the target bank for tRFCpb",
+     .choices = "off|auto|per-bank",
+     .choose =
+         [](SchedulerPolicy &p, int choice) {
+             p.auto_refresh = choice != 0;
+             p.per_bank_refresh = choice == 2;
+         }},
+    {"refresh_postpone",
+     "due REFs deferrable while work is pending\n"
+     "(JEDEC DDR3: at most 8)",
+     &SchedulerPolicy::refresh_postpone, 0, 8},
+    {.name = "priority",
+     .help = "priority-aware scheduling: arrived requests\n"
+             "of a more urgent class (lower\n"
+             "MemTransaction::priority) are scheduled\n"
+             "first within the read window, and urgent\n"
+             "reads (priority < 0) jump between\n"
+             "write-drain batches; head bypasses still\n"
+             "age out after 16, bounding starvation",
+     .choices = "off|on",
+     .choose = [](SchedulerPolicy &p, int choice) {
+         p.priority_sched = choice == 1;
+     }},
+};
+
+/** Index of `value` in a "a|b|c" choice list, or -1. */
+int
+choiceIndex(const char *choices, const std::string &value)
+{
+    std::istringstream list(choices);
+    std::string choice;
+    for (int index = 0; std::getline(list, choice, '|'); ++index)
+        if (choice == value)
+            return index;
+    return -1;
+}
+
+} // namespace
 
 void
 SchedulerPolicy::validate() const
 {
-    if (drain_high_pct < 0 || drain_high_pct > 100)
-        fatal("SchedulerPolicy: drain_high_pct must be in [0, 100], "
-              "got ", drain_high_pct);
-    if (drain_low_pct < 0 || drain_low_pct > drain_high_pct)
-        fatal("SchedulerPolicy: drain_low_pct must be in [0, "
-              "drain_high_pct], got ", drain_low_pct, " (high ",
-              drain_high_pct, ")");
-    if (max_drain_batch < 1)
-        fatal("SchedulerPolicy: max_drain_batch must be >= 1, got ",
-              max_drain_batch);
-    if (replay_batch < 1)
-        fatal("SchedulerPolicy: replay_batch must be >= 1, got ",
-              replay_batch);
-    if (read_window < 1)
-        fatal("SchedulerPolicy: read_window must be >= 1 (1 = strict "
-              "arrival order), got ", read_window);
-    if (bank_drain_high < 0 || bank_drain_low < 0)
-        fatal("SchedulerPolicy: per-bank drain watermarks must be "
-              ">= 0 (0 disables), got high ", bank_drain_high,
-              " low ", bank_drain_low);
+    // Each integer knob's range lives in its table row; the rules
+    // that relate two knobs follow.
+    for (const SchedKnob &k : kSchedKnobs)
+        if (k.field && (this->*k.field < k.min || this->*k.field > k.max))
+            fatal("SchedulerPolicy: ", k.name, " must be in [", k.min,
+                  ", ", k.max, "], got ", this->*k.field);
+    if (drain_low_pct > drain_high_pct)
+        fatal("SchedulerPolicy: drain_low_pct (", drain_low_pct,
+              ") exceeds drain_high_pct (", drain_high_pct, ")");
     if (bank_drain_low > bank_drain_high)
         fatal("SchedulerPolicy: bank_drain_low (", bank_drain_low,
               ") exceeds bank_drain_high (", bank_drain_high,
               "); a drain episode could never stop - set low <= "
               "high");
-    if (refresh_postpone < 0 || refresh_postpone > 8)
-        fatal("SchedulerPolicy: refresh_postpone must be in [0, 8] "
-              "(JEDEC DDR3 allows at most 8 deferred REFs), got ",
-              refresh_postpone);
     if (per_bank_refresh && !auto_refresh)
         fatal("SchedulerPolicy: per_bank_refresh requires "
               "auto_refresh; select it via refresh=per-bank (which "
@@ -51,35 +164,8 @@ SchedulerPolicy::validate() const
 SchedulerPolicy
 SchedulerPolicy::preset(const std::string &name)
 {
-    if (name == "eager")
-        return SchedulerPolicy{};
-    if (name == "batched") {
-        SchedulerPolicy p{75, 25, 16, 8};
-        p.read_window = 8;
-        return p;
-    }
-    if (name == "aggressive") {
-        SchedulerPolicy p{90, 10, 32, 16};
-        p.read_window = 16;
-        p.bank_drain_high = 8;
-        p.bank_drain_low = 2;
-        return p;
-    }
-    if (name == "serving") {
-        // QoS preset for mixed fleet traffic: batched-style drains
-        // with higher watermarks (writes buffer longer, so urgent
-        // reads see a clear bus), a wide read window for priority
-        // selection to work in, refresh on with mild postponement,
-        // and priority-aware scheduling enabled.
-        SchedulerPolicy p{85, 35, 16, 8};
-        p.read_window = 16;
-        p.bank_drain_high = 8;
-        p.bank_drain_low = 2;
-        p.auto_refresh = true;
-        p.refresh_postpone = 4;
-        p.priority_sched = true;
-        return p;
-    }
+    if (const SchedPreset *p = findRow(kSchedPresets, name))
+        return p->policy;
     std::string known;
     for (const auto &n : presetNames())
         known += " " + n;
@@ -92,85 +178,36 @@ SchedulerPolicy::parse(const std::string &spec)
 {
     const size_t colon = spec.find(':');
     SchedulerPolicy policy = preset(spec.substr(0, colon));
-    if (colon == std::string::npos) {
-        policy.validate();
-        return policy;
-    }
-    std::string rest = spec.substr(colon + 1);
-    size_t pos = 0;
-    while (pos <= rest.size()) {
-        const size_t comma = rest.find(',', pos);
-        const std::string item =
-            rest.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        pos = comma == std::string::npos ? rest.size() + 1
-                                         : comma + 1;
+    // One knob=value item per comma after the ':'. The appended comma
+    // ends the last item, so a stray comma yields an empty item
+    // instead of being skipped.
+    std::istringstream items(
+        colon == std::string::npos ? "" : spec.substr(colon + 1) + ",");
+    for (std::string item; std::getline(items, item, ',');) {
         const size_t eq = item.find('=');
-        if (item.empty() || eq == std::string::npos ||
-            eq + 1 >= item.size())
+        if (eq == std::string::npos || eq + 1 >= item.size())
             fatal("SchedulerPolicy: malformed knob override '", item,
                   "' in --sched spec '", spec,
                   "'; expected knob=value");
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
-        if (key == "refresh") {
-            if (value == "auto") {
-                policy.auto_refresh = true;
-                policy.per_bank_refresh = false;
-            } else if (value == "per-bank") {
-                policy.auto_refresh = true;
-                policy.per_bank_refresh = true;
-            } else if (value == "off") {
-                policy.auto_refresh = false;
-                policy.per_bank_refresh = false;
-            } else {
-                fatal("SchedulerPolicy: refresh must be 'off', "
-                      "'auto', or 'per-bank', got '", value, "'");
-            }
+        const SchedKnob *knob = findRow(kSchedKnobs, key);
+        if (!knob)
+            fatal("SchedulerPolicy: unknown knob '", key,
+                  "' in --sched spec '", spec,
+                  "' (run codic_run --sched help for the knob list)");
+        if (knob->choices) {
+            const int choice = choiceIndex(knob->choices, value);
+            if (choice < 0)
+                fatal("SchedulerPolicy: ", key, " must be one of ",
+                      knob->choices, ", got '", value, "'");
+            knob->choose(policy, choice);
             continue;
         }
-        if (key == "priority") {
-            if (value == "on")
-                policy.priority_sched = true;
-            else if (value == "off")
-                policy.priority_sched = false;
-            else
-                fatal("SchedulerPolicy: priority must be 'off' or "
-                      "'on', got '", value, "'");
-            continue;
-        }
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0' ||
-            errno == ERANGE || v < std::numeric_limits<int>::min() ||
-            v > std::numeric_limits<int>::max())
+        if (!parseWhole(value.c_str(), policy.*knob->field))
             fatal("SchedulerPolicy: knob '", key,
                   "' needs an integer value (in int range), got '",
                   value, "'");
-        const int iv = static_cast<int>(v);
-        if (key == "drain_high_pct")
-            policy.drain_high_pct = iv;
-        else if (key == "drain_low_pct")
-            policy.drain_low_pct = iv;
-        else if (key == "max_drain_batch")
-            policy.max_drain_batch = iv;
-        else if (key == "replay_batch")
-            policy.replay_batch = iv;
-        else if (key == "read_window")
-            policy.read_window = iv;
-        else if (key == "bank_drain_high")
-            policy.bank_drain_high = iv;
-        else if (key == "bank_drain_low")
-            policy.bank_drain_low = iv;
-        else if (key == "refresh_postpone")
-            policy.refresh_postpone = iv;
-        else
-            fatal("SchedulerPolicy: unknown knob '", key,
-                  "' in --sched spec '", spec,
-                  "' (run codic_run --sched help for the knob "
-                  "list)");
     }
     policy.validate();
     return policy;
@@ -179,57 +216,23 @@ SchedulerPolicy::parse(const std::string &spec)
 std::vector<std::string>
 SchedulerPolicy::presetNames()
 {
-    return {"eager", "batched", "aggressive", "serving"};
+    return rowNames(kSchedPresets);
 }
 
 std::string
 SchedulerPolicy::describeKnobs()
 {
-    return
-        "scheduler presets (--sched NAME[:knob=value,...]):\n"
-        "  eager       legacy policy pinning the paper numbers: every\n"
-        "              write issues at acceptance, strict arrival-order\n"
-        "              reads, serial fleet replay, refresh off\n"
-        "  batched     serving-stack default: 75/25 drain watermarks,\n"
-        "              16-deep row-hit drain batches, 8-deep replay\n"
-        "              slices, 8-wide read-reordering window\n"
-        "  aggressive  90/10 watermarks, 32-deep row-hit batches,\n"
-        "              16-deep replay slices, 16-wide read window,\n"
-        "              8/2 per-bank drain watermarks\n"
-        "  serving     QoS preset for mixed fleet traffic: 85/35\n"
-        "              watermarks, 16-wide read window, 8/2 per-bank\n"
-        "              watermarks, refresh=auto with postpone 4, and\n"
-        "              priority=on (urgent reads preempt background\n"
-        "              traffic within the 16-bypass starvation bound)\n"
-        "\n"
-        "knob overrides (appended as :knob=value,knob=value):\n"
-        "  drain_high_pct=N    write-queue % occupancy starting a drain\n"
-        "                      episode (0 = drain at every write)\n"
-        "  drain_low_pct=N     % occupancy where a drain episode stops\n"
-        "  max_drain_batch=N   same-row writes coalesced per drain batch\n"
-        "  replay_batch=N      fleet shard requests replayed bank-parallel\n"
-        "  read_window=N       read-queue heads considered for row-hit\n"
-        "                      bypass (1 = strict arrival order)\n"
-        "  bank_drain_high=N   per-bank pending writes triggering a\n"
-        "                      bank-local drain (0 = disabled)\n"
-        "  bank_drain_low=N    per-bank occupancy where that drain stops\n"
-        "  refresh=off|auto|per-bank\n"
-        "                      controller-injected refresh: 'auto' = one\n"
-        "                      all-bank REF per rank every tREFI;\n"
-        "                      'per-bank' = REFpb every tREFIpb\n"
-        "                      (tREFI/banks), round-robin over the banks,\n"
-        "                      occupying only the target bank for tRFCpb\n"
-        "  refresh_postpone=N  due REFs deferrable while work is pending\n"
-        "                      (JEDEC DDR3: at most 8)\n"
-        "  priority=off|on     priority-aware scheduling: arrived requests\n"
-        "                      of a more urgent class (lower\n"
-        "                      MemTransaction::priority) are scheduled\n"
-        "                      first within the read window, and urgent\n"
-        "                      reads (priority < 0) jump between\n"
-        "                      write-drain batches; head bypasses still\n"
-        "                      age out after 16, bounding starvation\n"
-        "\n"
-        "example: --sched batched:refresh=auto,refresh_postpone=4\n";
+    std::string out =
+        "scheduler presets (--sched NAME[:knob=value,...]):\n";
+    for (const SchedPreset &p : kSchedPresets)
+        out += helpEntry(p.name, p.help, 10);
+    out += "\nknob overrides (appended as :knob=value,knob=value):\n";
+    for (const SchedKnob &k : kSchedKnobs)
+        out += helpEntry(std::string(k.name) + "=" +
+                             (k.choices ? k.choices : "N"),
+                         k.help, 18);
+    return out + "\nexample: --sched batched:refresh=auto,"
+                 "refresh_postpone=4\n";
 }
 
 int64_t
@@ -318,6 +321,10 @@ sizeModule(DramConfig &cfg, int64_t capacity_mb, int channels,
     CODIC_ASSERT(capacity_mb > 0);
     if (channels < 1 || ranks < 1)
         fatal("module geometry needs channels >= 1 and ranks >= 1");
+    if (capacity_mb > (std::numeric_limits<int64_t>::max() >> 20))
+        fatal("module capacity ", capacity_mb,
+              " MB overflows a 64-bit byte count (at most ",
+              std::numeric_limits<int64_t>::max() >> 20, " MB)");
     cfg.channels = channels;
     cfg.ranks = ranks;
     const int64_t capacity = capacity_mb * 1024 * 1024;
@@ -376,18 +383,25 @@ DramConfig::ddr3_1333(int64_t capacity_mb, int channels, int ranks)
 namespace {
 
 /**
- * Fields common to the DDR4 grades: 16 banks per rank, and the
- * analog timings that JEDEC specifies in nanoseconds (so their cycle
- * counts derive from the grade's clock, exactly like ddr3_1333).
- * tRRD/tWTR/tCCD use the same-bank-group (_L) values - the channel
- * model does not track bank groups, and the _L values are the
- * conservative legal bound for any bank pair.
+ * A DDR4 x8 grade: CAS/CWL/tCCD at the grade's clock, 16 banks per
+ * rank, and the analog timings that JEDEC specifies in nanoseconds
+ * (so their cycle counts derive from the grade's clock, exactly like
+ * ddr3_1333). tRRD/tWTR/tCCD use the same-bank-group (_L) values -
+ * the channel model does not track bank groups, and the _L values are
+ * the conservative legal bound for any bank pair.
  */
-void
-applyDdr4CommonTimings(DramConfig &cfg)
+DramConfig
+ddr4Module(const std::string &grade, double tck_ns, Cycle cl, Cycle cwl,
+           Cycle ccd, int64_t capacity_mb, int channels, int ranks)
 {
-    cfg.banks = 16;
+    DramConfig cfg;
+    cfg.name = grade + " x8 " + std::to_string(capacity_mb) + "MB";
+    cfg.tck_ns = tck_ns;
     TimingParams &t = cfg.timing;
+    t.trcd = t.trp = t.tcl = cl;
+    t.tcwl = cwl;
+    t.tccd = ccd;
+    cfg.banks = 16;
     t.tras = cfg.nsToCycles(32.0);
     t.trc = t.tras + t.trp;
     t.trrd = cfg.nsToCycles(4.9);
@@ -396,6 +410,8 @@ applyDdr4CommonTimings(DramConfig &cfg)
     t.twr = cfg.nsToCycles(15.0);
     t.trtp = cfg.nsToCycles(7.5);
     t.trefi = cfg.nsToCycles(7800.0);
+    sizeModule(cfg, capacity_mb, channels, ranks);
+    return cfg;
 }
 
 } // namespace
@@ -403,47 +419,42 @@ applyDdr4CommonTimings(DramConfig &cfg)
 DramConfig
 DramConfig::ddr4_2400(int64_t capacity_mb, int channels, int ranks)
 {
-    DramConfig cfg;
-    cfg.name = "DDR4-2400 17-17-17 x8 " + std::to_string(capacity_mb) +
-               "MB";
-    cfg.tck_ns = 0.833;
-    TimingParams &t = cfg.timing;
-    t.trcd = t.trp = t.tcl = 17;
-    t.tcwl = 12;
-    t.tccd = 6;
-    applyDdr4CommonTimings(cfg);
-    sizeModule(cfg, capacity_mb, channels, ranks);
-    return cfg;
+    return ddr4Module("DDR4-2400 17-17-17", 0.833, 17, 12, 6, capacity_mb,
+                      channels, ranks);
 }
 
 DramConfig
 DramConfig::ddr4_3200(int64_t capacity_mb, int channels, int ranks)
 {
-    DramConfig cfg;
-    cfg.name = "DDR4-3200 22-22-22 x8 " + std::to_string(capacity_mb) +
-               "MB";
-    cfg.tck_ns = 0.625;
-    TimingParams &t = cfg.timing;
-    t.trcd = t.trp = t.tcl = 22;
-    t.tcwl = 16;
-    t.tccd = 8;
-    applyDdr4CommonTimings(cfg);
-    sizeModule(cfg, capacity_mb, channels, ranks);
-    return cfg;
+    return ddr4Module("DDR4-3200 22-22-22", 0.625, 22, 16, 8, capacity_mb,
+                      channels, ranks);
 }
+
+namespace {
+
+/** One --preset speed grade: its name and its factory. */
+struct Grade
+{
+    const char *name;
+    DramConfig (*make)(int64_t capacity_mb, int channels, int ranks);
+};
+
+/** The --preset speed grades, in documentation order. */
+const Grade kGrades[] = {
+    {"ddr3-1600", &DramConfig::ddr3_1600},
+    {"ddr3-1333", &DramConfig::ddr3_1333},
+    {"ddr4-2400", &DramConfig::ddr4_2400},
+    {"ddr4-3200", &DramConfig::ddr4_3200},
+};
+
+} // namespace
 
 DramConfig
 DramConfig::preset(const std::string &name, int64_t capacity_mb,
                    int channels, int ranks)
 {
-    if (name == "ddr3-1600")
-        return ddr3_1600(capacity_mb, channels, ranks);
-    if (name == "ddr3-1333")
-        return ddr3_1333(capacity_mb, channels, ranks);
-    if (name == "ddr4-2400")
-        return ddr4_2400(capacity_mb, channels, ranks);
-    if (name == "ddr4-3200")
-        return ddr4_3200(capacity_mb, channels, ranks);
+    if (const Grade *g = findRow(kGrades, name))
+        return g->make(capacity_mb, channels, ranks);
     std::string known;
     for (const auto &n : presetNames())
         known += " " + n;
@@ -453,7 +464,7 @@ DramConfig::preset(const std::string &name, int64_t capacity_mb,
 std::vector<std::string>
 DramConfig::presetNames()
 {
-    return {"ddr3-1600", "ddr3-1333", "ddr4-2400", "ddr4-3200"};
+    return rowNames(kGrades);
 }
 
 } // namespace codic

@@ -157,24 +157,6 @@ DramSystem::drainAllOn(CampaignEngine &engine)
 }
 
 size_t
-DramSystem::pollOn(CampaignEngine &engine, Cycle now)
-{
-    if (engine.threads() <= 1 || channelCount() <= 1)
-        return poll(now);
-    for (auto &ch : channels_)
-        ch->debugReleaseOwner();
-    std::vector<size_t> per_channel(channels_.size(), 0);
-    engine.forEach(channels_.size(), [&](size_t i) {
-        per_channel[i] = controllers_[i]->poll(now);
-        channels_[i]->debugReleaseOwner();
-    });
-    size_t serviced = 0;
-    for (size_t n : per_channel)
-        serviced += n;
-    return serviced;
-}
-
-size_t
 DramSystem::inFlightCount() const
 {
     size_t n = 0;

@@ -98,9 +98,6 @@ class DramSystem : public MemoryService
      */
     Cycle drainAllOn(CampaignEngine &engine);
 
-    /** poll() with channels stepped as campaign tasks (see above). */
-    size_t pollOn(CampaignEngine &engine, Cycle now);
-
     /** Queued transactions summed over every channel. */
     size_t inFlightCount() const override;
 

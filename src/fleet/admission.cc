@@ -6,16 +6,6 @@
 
 namespace codic {
 
-const char *
-admissionClassName(AdmissionClass cls)
-{
-    switch (cls) {
-      case AdmissionClass::Urgent: return "urgent";
-      case AdmissionClass::BestEffort: return "best_effort";
-    }
-    panic("unknown admission class");
-}
-
 AdmissionController::AdmissionController(const AdmissionConfig &config,
                                          int lanes,
                                          double auto_deadline_ns)

@@ -48,9 +48,6 @@ enum class AdmissionClass : uint8_t
 
 constexpr int kAdmissionClasses = 2;
 
-/** Display name of an AdmissionClass. */
-const char *admissionClassName(AdmissionClass cls);
-
 /** Admission-control tuning (AuthConfig::admission). */
 struct AdmissionConfig
 {

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "common/stats.h"
 
 namespace codic {
@@ -21,13 +22,11 @@ ModuloShardSelector::shardOf(uint64_t device_id, int shards) const
 int
 HashShardSelector::shardOf(uint64_t device_id, int shards) const
 {
-    // splitmix64 finalizer: sequential id ranges land on different
-    // shards instead of striding through them in lockstep.
-    uint64_t x = device_id + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<int>(x % static_cast<uint64_t>(shards));
+    // The first SplitMix64 output of the id: sequential id ranges land
+    // on different shards instead of striding through them in
+    // lockstep.
+    return static_cast<int>(SplitMix64(device_id).next() %
+                            static_cast<uint64_t>(shards));
 }
 
 std::shared_ptr<const ShardSelector>

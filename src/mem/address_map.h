@@ -71,9 +71,6 @@ class AddressMap
     /** Bytes covered by one row across the rank. */
     int64_t rowBytes() const { return config_.row_bytes; }
 
-    /** Bytes per column burst. */
-    int64_t burstBytes() const { return config_.burst_bytes; }
-
     /** Total mapped capacity in bytes. */
     int64_t capacityBytes() const { return config_.capacityBytes(); }
 

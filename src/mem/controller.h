@@ -179,9 +179,6 @@ class MemoryController : public MemoryService
     /** Underlying channel (stats, config). */
     DramChannel &channel() { return channel_; }
 
-    /** Scheduler policy in effect (from the module configuration). */
-    const SchedulerPolicy &schedulerPolicy() const { return sched_; }
-
     /** Writes accepted so far (for drain-invariant assertions). */
     uint64_t acceptedWrites() const { return accepted_writes_; }
 

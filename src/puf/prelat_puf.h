@@ -62,9 +62,6 @@ class PrelatPuf : public DramPuf
 
     int passesPerEvaluation(bool filtered) const override;
 
-    /** Relative cost of one pass vs. a plain read pass. */
-    double passCost() const { return params_.pass_cost; }
-
   private:
     PrelatPufParams params_;
 };

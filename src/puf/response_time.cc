@@ -5,18 +5,6 @@
 
 namespace codic {
 
-const char *
-pufKindName(PufKind kind)
-{
-    switch (kind) {
-      case PufKind::CodicSig: return "CODIC-sig PUF";
-      case PufKind::CodicSigOpt: return "CODIC-sig-opt PUF";
-      case PufKind::Prelat: return "PreLatPUF";
-      case PufKind::Latency: return "DRAM Latency PUF";
-    }
-    panic("unknown PUF kind");
-}
-
 namespace {
 
 /**

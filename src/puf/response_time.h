@@ -65,9 +65,6 @@ EvalTime evaluationTime(PufKind kind, bool filtered,
                         const DramConfig &config,
                         const ResponseTimeParams &params = {});
 
-/** Display name of a PufKind. */
-const char *pufKindName(PufKind kind);
-
 } // namespace codic
 
 #endif // CODIC_PUF_RESPONSE_TIME_H

@@ -35,17 +35,6 @@ namespace codic {
 
 namespace {
 
-/** Latency samples (cycles) converted once to microseconds. */
-std::vector<double>
-latenciesUs(const DramConfig &cfg, const std::vector<Cycle> &lat)
-{
-    std::vector<double> us;
-    us.reserve(lat.size());
-    for (const Cycle c : lat)
-        us.push_back(cfg.cyclesToNs(c) / 1e3);
-    return us;
-}
-
 void
 runAblationRefresh(RunContext &ctx)
 {

@@ -57,6 +57,17 @@ moduleFor(const RunOptions &options, int64_t capacity_mb,
                               capacity_mb, channels, ranks);
 }
 
+/** Latency samples (cycles) converted to microseconds. */
+inline std::vector<double>
+latenciesUs(const DramConfig &cfg, const std::vector<Cycle> &cycles)
+{
+    std::vector<double> us;
+    us.reserve(cycles.size());
+    for (const Cycle c : cycles)
+        us.push_back(cfg.cyclesToNs(c) / 1e3);
+    return us;
+}
+
 /** Pointer view over a chip population (campaign call convention). */
 inline std::vector<const SimulatedChip *>
 chipPtrs(const std::vector<SimulatedChip> &chips)

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/stats.h"
 #include "dram/system.h"
 #include "scenario/registry.h"
@@ -99,26 +100,6 @@ replayOn(const DramConfig &cfg,
     out.report = source.finish();
     out.counts = sys.totalCounts();
     return out;
-}
-
-std::vector<double>
-latenciesUs(const DramConfig &cfg, const std::vector<Cycle> &cycles)
-{
-    std::vector<double> us;
-    us.reserve(cycles.size());
-    for (const Cycle c : cycles)
-        us.push_back(cfg.cyclesToNs(c) / 1e3);
-    return us;
-}
-
-/** splitmix64: the portable address scrambler used for synthesis. */
-uint64_t
-splitmix64(uint64_t &state)
-{
-    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
 }
 
 void
@@ -263,20 +244,20 @@ runTraceVsSynthetic(RunContext &ctx)
             ? std::max<uint64_t>(1, span / (t.dram.size() - 1))
             : 1;
     const uint64_t footprint = 2ull << 20; // rawMysqlTrace's.
-    uint64_t rng = paperSeed(opt, 0xC0D1C);
+    SplitMix64 rng(paperSeed(opt, 0xC0D1C));
     std::vector<TraceRecord> synthetic;
     synthetic.reserve(t.dram.size());
     for (size_t i = 0; i < t.dram.size(); ++i) {
         TraceRecord r;
         r.kind = i < reads ? TraceOpKind::Read : TraceOpKind::Write;
-        r.addr = (splitmix64(rng) % footprint) & ~63ull;
+        r.addr = (rng.next() % footprint) & ~63ull;
         r.tick = static_cast<uint64_t>(i) * gap;
         synthetic.push_back(r);
     }
     // Interleave kinds deterministically so reads and writes mix at
     // the trace's ratio instead of forming two monolithic runs.
     for (size_t i = 0; i < synthetic.size(); ++i) {
-        const uint64_t pick = splitmix64(rng) % synthetic.size();
+        const uint64_t pick = rng.next() % synthetic.size();
         std::swap(synthetic[i].kind, synthetic[pick].kind);
     }
 

@@ -8,18 +8,6 @@
 
 namespace codic {
 
-const char *
-deallocModeName(DeallocMode m)
-{
-    switch (m) {
-      case DeallocMode::SoftwareZero: return "software-zero";
-      case DeallocMode::CodicDet: return "CODIC";
-      case DeallocMode::RowClone: return "RowClone";
-      case DeallocMode::LisaClone: return "LISA-clone";
-    }
-    panic("unknown dealloc mode");
-}
-
 InOrderCore::InOrderCore(MemoryService &mem, const CoreConfig &config,
                          uint64_t addr_base)
     : controller_(mem), config_(config), addr_base_(addr_base),

@@ -38,9 +38,6 @@ enum class DeallocMode
     LisaClone,    //!< LISA-clone copy of a zero row.
 };
 
-/** Display name. */
-const char *deallocModeName(DeallocMode m);
-
 /** Core configuration (paper Table 7). */
 struct CoreConfig
 {

@@ -197,7 +197,6 @@ class StormSource : public TickProducer
      */
     void setGapMultiplier(Cycle m) { gap_multiplier_ = m < 1 ? 1 : m; }
 
-    uint64_t issuedWrites() const { return issued_; }
     uint64_t completed() const { return completed_; }
     Cycle lastCompletion() const { return last_completion_; }
 

@@ -100,15 +100,6 @@ ThermalModel::hottestBank() const
         temp_c_.begin());
 }
 
-double
-ThermalModel::meanTemp() const
-{
-    double sum = 0.0;
-    for (double t : temp_c_)
-        sum += t;
-    return sum / static_cast<double>(temp_c_.size());
-}
-
 ThermalThrottle::ThermalThrottle(double ceiling_c, double floor_c)
     : ceiling_c_(ceiling_c), floor_c_(floor_c)
 {

@@ -109,9 +109,6 @@ class ThermalModel
     /** Index of the hottest bank (lowest index on ties). */
     size_t hottestBank() const;
 
-    /** Mean bank temperature, C. */
-    double meanTemp() const;
-
   private:
     ThermalConfig config_;
     EnergyParams energy_;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 #include "dram/channel.h"
 #include "dram/config.h"
@@ -93,6 +95,25 @@ TEST(DramConfig, EveryNamedPresetValidatesAtAnyGeometry)
                   cfg.row_bytes);
     }
     EXPECT_THROW(DramConfig::preset("ddr5-6400", 64), FatalError);
+}
+
+TEST(DramConfig, CapacityWhoseByteCountOverflowsIsRejected)
+{
+    // The largest capacity whose byte count fits in int64_t.
+    const int64_t largest = 8796093022207;
+    ASSERT_EQ(largest, std::numeric_limits<int64_t>::max() >> 20);
+    for (const auto &name : DramConfig::presetNames()) {
+        SCOPED_TRACE(name);
+        EXPECT_NO_THROW(DramConfig::preset(name, largest));
+        try {
+            DramConfig::preset(name, largest + 1);
+            ADD_FAILURE() << "overflowing capacity was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("overflows"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(DramConfig, Ddr4GradesHaveSixteenBanksAndFasterClocks)

@@ -4,15 +4,16 @@
  * the DRAM channel, random schedule classification totality, random
  * cache traffic against a reference model, end-to-end determinism
  * checks, and mutation fuzzers over the enrollment-store and trace
- * formats.
+ * formats and the --sched spec parser.
  * These guard the invariants DESIGN.md lists: the JEDEC checker
  * never admits an illegal issue, classification is total,
- * simulations are reproducible from seeds, and a malformed store or
- * trace fails loudly instead of crashing.
+ * simulations are reproducible from seeds, and a malformed store,
+ * trace or --sched spec fails loudly instead of crashing.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -21,6 +22,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "dram/channel.h"
+#include "dram/config.h"
 #include "fleet/enrollment_store.h"
 #include "puf/sig_puf.h"
 #include "sim/cache.h"
@@ -516,6 +518,96 @@ TEST_F(TraceFuzz, OverlongVarintThrows)
                   std::string::npos)
             << e.what();
     }
+}
+
+// --- --sched spec fuzzing. ---
+
+/**
+ * Mutation fuzzer over SchedulerPolicy::parse: every preset and a few
+ * multi-knob specs are truncated at every length, have each byte
+ * replaced by spec punctuation, digits, a letter or a space, gain
+ * doubled, trailing and leading commas, lose a knob's key or value,
+ * and get integer values just past int range or past any integer.
+ * Each mutant must parse or throw FatalError; any other exception,
+ * or a crash under the sanitizers, fails the test.
+ */
+std::vector<std::string>
+schedSeeds()
+{
+    std::vector<std::string> seeds = SchedulerPolicy::presetNames();
+    seeds.push_back("batched:refresh=auto,refresh_postpone=4");
+    seeds.push_back("serving:read_window=48,priority=off,"
+                    "bank_drain_high=6,bank_drain_low=2");
+    seeds.push_back("aggressive:drain_high_pct=80,drain_low_pct=20,"
+                    "max_drain_batch=8,replay_batch=4,refresh=per-bank");
+    seeds.push_back("eager:priority=on,refresh=off");
+    return seeds;
+}
+
+/** Mutants of one spec (see schedSeeds). */
+std::vector<std::string>
+schedMutants(const std::string &spec)
+{
+    std::vector<std::string> out;
+    for (size_t len = 0; len < spec.size(); ++len)
+        out.push_back(spec.substr(0, len));
+    for (size_t i = 0; i < spec.size(); ++i)
+        for (const char c : {',', '=', ':', '-', '+', '0', '9', 'a', ' '}) {
+            std::string m = spec;
+            m[i] = c;
+            out.push_back(m);
+        }
+    out.push_back("," + spec);
+    out.push_back(spec + ",");
+    const size_t colon = spec.find(':');
+    if (colon == std::string::npos)
+        return out;
+    out.push_back(spec.substr(0, colon + 1) + "," + spec.substr(colon + 1));
+    // Walk the knob=value items between ':' and the end.
+    for (size_t start = colon + 1; start < spec.size();) {
+        const size_t end = std::min(spec.find(',', start), spec.size());
+        const size_t eq = spec.find('=', start);
+        out.push_back(spec.substr(0, end) + "," + spec.substr(end));
+        out.push_back(spec.substr(0, start) + spec.substr(eq));
+        out.push_back(spec.substr(0, eq + 1) + spec.substr(end));
+        for (const char *v :
+             {"2147483648", "-2147483649", "99999999999999999999"})
+            out.push_back(spec.substr(0, eq + 1) + v + spec.substr(end));
+        start = end + 1;
+    }
+    return out;
+}
+
+TEST(SchedFuzz, SeedsParse)
+{
+    for (const std::string &spec : schedSeeds())
+        EXPECT_NO_THROW(SchedulerPolicy::parse(spec)) << spec;
+}
+
+TEST(SchedFuzz, MutantsParseOrThrowFatal)
+{
+    size_t mutants = 0;
+    size_t rejected = 0;
+    for (const std::string &spec : schedSeeds()) {
+        for (const std::string &mutant : schedMutants(spec)) {
+            ++mutants;
+            try {
+                SchedulerPolicy::parse(mutant);
+            } catch (const FatalError &) {
+                ++rejected;
+            }
+        }
+    }
+    EXPECT_GT(mutants, 2000u);
+    EXPECT_GT(rejected, mutants / 2);
+    // Out-of-range integers and empty keys or values never parse.
+    for (const char *bad :
+         {"batched:read_window=2147483648",
+          "batched:read_window=-2147483649",
+          "batched:read_window=99999999999999999999", "batched:=4",
+          "batched:read_window=", "batched:,read_window=4",
+          "batched:read_window=4,", "batched:read_window=4,,replay_batch=2"})
+        EXPECT_THROW(SchedulerPolicy::parse(bad), FatalError) << bad;
 }
 
 } // namespace
