@@ -402,27 +402,32 @@ AuthService::AuthService(DeviceFleet &fleet, EnrollmentBackend &store,
 {
 }
 
-void
-AuthService::enrollAll()
+double
+modeledCapacityRps(const FleetCostModel &cost_model,
+                   const AuthConfig &config)
 {
-    CampaignEngine engine(config_.threads);
-    engine.forEach(
-        static_cast<size_t>(fleet_.shards()), [&](size_t shard) {
-            for (uint64_t id :
-                 fleet_.shardDeviceIds(static_cast<int>(shard))) {
-                const Challenge ch = fleet_.goldenChallenge(id);
-                store_.put(id, ch, fleet_.enrollSignature(id, ch));
-            }
-        });
+    const double auth_ns = cost_model.sig_eval_ns + config.store_miss_ns;
+    return static_cast<double>(std::max(1, config.service_lanes)) *
+           1e9 / auth_ns;
 }
 
-double
-AuthService::modeledCapacityRps() const
+void
+enrollShard(DeviceFleet &fleet, EnrollmentBackend &store, int shard)
 {
-    const double auth_ns =
-        cost_model_.sig_eval_ns + config_.store_miss_ns;
-    return static_cast<double>(std::max(1, config_.service_lanes)) *
-           1e9 / auth_ns;
+    for (uint64_t id : fleet.shardDeviceIds(shard)) {
+        const Challenge ch = fleet.goldenChallenge(id);
+        store.put(id, ch, fleet.enrollSignature(id, ch));
+    }
+}
+
+void
+enrollFleet(DeviceFleet &fleet, EnrollmentBackend &store, int threads)
+{
+    CampaignEngine engine(threads);
+    engine.forEach(static_cast<size_t>(fleet.shards()),
+                   [&](size_t shard) {
+                       enrollShard(fleet, store, static_cast<int>(shard));
+                   });
 }
 
 double

@@ -340,6 +340,25 @@ struct RequestResult
     uint32_t dealloc_rows = 0;
 };
 
+/**
+ * Derived admission capacity (requests/s): service_lanes over the
+ * modeled authenticate service time. What scenarios sweep offered
+ * load against when no explicit capacity is configured.
+ */
+double modeledCapacityRps(const FleetCostModel &cost_model,
+                          const AuthConfig &config);
+
+/** Enroll one shard's devices (ascending ids) into the store. */
+void enrollShard(DeviceFleet &fleet, EnrollmentBackend &store,
+                 int shard);
+
+/**
+ * Enroll the whole fleet, one enrollShard() engine task per shard.
+ * Store content is independent of the shard and thread count.
+ */
+void enrollFleet(DeviceFleet &fleet, EnrollmentBackend &store,
+                 int threads);
+
 /** The request-level frontend: executes streams against a fleet. */
 class AuthService
 {
@@ -347,13 +366,6 @@ class AuthService
     /** Serve `store` (it outlives the service). */
     AuthService(DeviceFleet &fleet, EnrollmentBackend &store,
                 const AuthConfig &config = {});
-
-    /**
-     * Enroll every device of the fleet into the store (batched per
-     * shard on the engine). Store content is independent of the
-     * shard/thread count.
-     */
-    void enrollAll();
 
     /**
      * One prepared stream's execution state: the sequential plans
@@ -413,15 +425,6 @@ class AuthService
 
     /** Execute one synthesized stream batched per shard. */
     LoadReport execute(const std::vector<FleetRequest> &stream);
-
-    const FleetCostModel &costModel() const { return cost_model_; }
-
-    /**
-     * Derived admission capacity (requests/s): service_lanes over
-     * the modeled authenticate service time. What scenarios sweep
-     * offered load against when no explicit capacity is configured.
-     */
-    double modeledCapacityRps() const;
 
   private:
     /**

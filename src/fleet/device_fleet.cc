@@ -85,12 +85,6 @@ DeviceFleet::goldenChallenge(uint64_t device_id)
 }
 
 Response
-DeviceFleet::enrollSignature(uint64_t device_id)
-{
-    return enrollSignature(device_id, goldenChallenge(device_id));
-}
-
-Response
 DeviceFleet::enrollSignature(uint64_t device_id,
                              const Challenge &challenge)
 {
@@ -98,13 +92,6 @@ DeviceFleet::enrollSignature(uint64_t device_id,
     Rng rng(deviceSeed(device_id) ^ kDomainEnrollNonce);
     return puf_.evaluateFiltered(chip, challenge,
                                  {30.0, false, rng.next64()});
-}
-
-Response
-DeviceFleet::challengeResponse(uint64_t device_id, uint64_t nonce)
-{
-    return challengeResponse(device_id, goldenChallenge(device_id),
-                             nonce);
 }
 
 Response

@@ -133,30 +133,21 @@ class DeviceFleet
      */
     Challenge goldenChallenge(uint64_t device_id);
 
-    /** Population-shared CODIC-sig PUF. */
-    const CodicSigPuf &puf() const { return puf_; }
-
     /**
-     * Filtered golden-signature evaluation with the device's
-     * enrollment nonce (what EnrollmentStore records). The second
-     * form reuses an already-derived challenge (the O(devices)
-     * enrollment path derives it once per device for both the
-     * evaluation and the store record).
+     * Filtered golden-signature evaluation of the device's golden
+     * challenge with its enrollment nonce (what EnrollmentStore
+     * records). The caller derives the challenge once for both the
+     * evaluation and the store record.
      */
-    Response enrollSignature(uint64_t device_id);
     Response enrollSignature(uint64_t device_id,
                              const Challenge &challenge);
 
     /**
-     * Filtered challenge response under a fresh per-request nonce
-     * (what AuthService compares against the golden signature).
-     */
-    Response challengeResponse(uint64_t device_id, uint64_t nonce);
-
-    /**
-     * Same, against an already-derived challenge - the serving hot
-     * path computes goldenChallenge() once per request and reuses
-     * it for both the evaluation and the replay row address.
+     * Filtered response to a challenge under a fresh per-request
+     * nonce (what AuthService compares against the golden
+     * signature). The serving hot path computes goldenChallenge()
+     * once per request and reuses it for both the evaluation and
+     * the replay row address.
      */
     Response challengeResponse(uint64_t device_id,
                                const Challenge &challenge,

@@ -314,6 +314,13 @@ EnrollmentStore::indexId(uint64_t slot) const
 }
 
 uint64_t
+EnrollmentStore::baseLastId() const
+{
+    CODIC_ASSERT(count_ > 0, "an empty base image has no last id");
+    return indexId(count_ - 1);
+}
+
+uint64_t
 EnrollmentStore::findSlot(uint64_t device_id) const
 {
     uint64_t lo = 0;

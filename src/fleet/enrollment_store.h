@@ -248,6 +248,9 @@ class EnrollmentStore : public EnrollmentBackend
     /** Records in the base image. */
     uint64_t baseRecords() const { return count_; }
 
+    /** Highest base id, O(1) off the sorted index (records > 0). */
+    uint64_t baseLastId() const;
+
     /** Base image size in bytes (the mapped file's size). */
     uint64_t baseBytes() const { return size_; }
 

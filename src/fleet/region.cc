@@ -122,60 +122,29 @@ RegionSet::config(size_t i) const
     return regions_[i].config;
 }
 
-DeviceFleet &
-RegionSet::fleet(size_t i)
+void
+RegionSet::forEachShard(
+    int threads, const std::function<void(size_t, size_t)> &task)
 {
-    CODIC_ASSERT(i < regions_.size());
-    return *regions_[i].fleet;
-}
-
-EnrollmentStore &
-RegionSet::store(size_t i)
-{
-    CODIC_ASSERT(i < regions_.size());
-    return *regions_[i].store;
-}
-
-AuthService &
-RegionSet::service(size_t i)
-{
-    CODIC_ASSERT(i < regions_.size());
-    return *regions_[i].service;
-}
-
-namespace {
-
-/** Flattened (region, shard) task list of one engine pass. */
-std::vector<std::pair<size_t, size_t>>
-flattenTasks(const std::vector<int> &shards_per_region)
-{
+    // One flattened (region, shard) task list: a worker picks up
+    // whichever task is next, so a small region never idles the pool
+    // while a big one drains.
     std::vector<std::pair<size_t, size_t>> tasks;
-    for (size_t r = 0; r < shards_per_region.size(); ++r)
-        for (int s = 0; s < shards_per_region[r]; ++s)
+    for (size_t r = 0; r < regions_.size(); ++r)
+        for (int s = 0; s < regions_[r].fleet->shards(); ++s)
             tasks.emplace_back(r, static_cast<size_t>(s));
-    return tasks;
+    CampaignEngine engine(threads);
+    engine.forEach(tasks.size(), [&](size_t t) {
+        task(tasks[t].first, tasks[t].second);
+    });
 }
-
-} // namespace
 
 void
 RegionSet::enrollAll(int threads)
 {
-    std::vector<int> shards;
-    shards.reserve(regions_.size());
-    for (const Region &region : regions_)
-        shards.push_back(region.fleet->shards());
-    const auto tasks = flattenTasks(shards);
-
-    CampaignEngine engine(threads);
-    engine.forEach(tasks.size(), [&](size_t t) {
-        Region &region = regions_[tasks[t].first];
-        for (uint64_t id : region.fleet->shardDeviceIds(
-                 static_cast<int>(tasks[t].second))) {
-            const Challenge ch = region.fleet->goldenChallenge(id);
-            region.store->put(
-                id, ch, region.fleet->enrollSignature(id, ch));
-        }
+    forEachShard(threads, [&](size_t r, size_t shard) {
+        enrollShard(*regions_[r].fleet, *regions_[r].store,
+                    static_cast<int>(shard));
     });
 }
 
@@ -188,24 +157,16 @@ RegionSet::serve(int threads)
     // cache plans and admission decisions are pure functions of
     // each region's own config.
     std::vector<AuthService::Execution> execs;
-    std::vector<int> shards;
     execs.reserve(regions_.size());
-    shards.reserve(regions_.size());
     for (Region &region : regions_) {
         RequestGenerator gen(region.config.traffic,
                              region.fleet->devices());
         execs.push_back(region.service->prepare(gen.generate()));
-        shards.push_back(region.fleet->shards());
     }
 
-    // One engine pass over every region's shard batches: a worker
-    // picks up whichever (region, shard) task is next, so a small
-    // region never idles the pool while a big one drains.
-    const auto tasks = flattenTasks(shards);
-    CampaignEngine engine(threads);
-    engine.forEach(tasks.size(), [&](size_t t) {
-        regions_[tasks[t].first].service->runShard(
-            execs[tasks[t].first], tasks[t].second);
+    // One engine pass over every region's shard batches.
+    forEachShard(threads, [&](size_t r, size_t shard) {
+        regions_[r].service->runShard(execs[r], shard);
     });
 
     Result result;

@@ -36,6 +36,7 @@
 #define CODIC_FLEET_REGION_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -165,13 +166,11 @@ class RegionSet
 
     size_t regions() const { return regions_.size(); }
     const RegionConfig &config(size_t i) const;
-    DeviceFleet &fleet(size_t i);
-    EnrollmentStore &store(size_t i);
-    AuthService &service(size_t i);
 
     /**
-     * Enroll every region's fleet, batched per (region, shard) on
-     * one engine. Store contents are independent of threading.
+     * Enroll every region's fleet, one enrollShard() task per
+     * (region, shard) on one engine. Store contents are independent
+     * of threading.
      */
     void enrollAll(int threads);
 
@@ -200,6 +199,10 @@ class RegionSet
         std::unique_ptr<EnrollmentStore> store;
         std::unique_ptr<AuthService> service;
     };
+
+    /** Run task(region, shard) for every shard of every region. */
+    void forEachShard(int threads,
+                      const std::function<void(size_t, size_t)> &task);
 
     std::vector<Region> regions_;
 };

@@ -9,13 +9,10 @@
  *    enrolled (or --store-loaded) population, with impostor probes.
  *  - fleet_mixed: mixed authenticate / re-enroll / TRNG /
  *    secure-dealloc traffic under a Zipfian popularity law.
- *  - fleet_scaling: shard-count sweep of the modeled makespan (like
- *    ablation_engine_parallelism, the sweep variable is the study
- *    input; --shards above 8 extends the sweep). With --store-mmap
- *    the sweep serves a binary --store file through the mmap read
- *    path (synthesizing a deterministic population when the file
- *    does not exist yet), so a 10^7-device store runs with flat
- *    per-request memory.
+ *  - fleet_scaling: shard-count sweep of the modeled makespan
+ *    (--shards above 8 extends the sweep); with --store-mmap it
+ *    serves a mapped --store file, so a 10^7-device store runs with
+ *    flat per-request memory.
  *  - fleet_overload: open-loop arrival sweep past the modeled
  *    serving capacity with admission control on - shed rate rises
  *    with offered load while the admitted urgent p99 stays bounded
@@ -36,7 +33,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -45,6 +41,7 @@
 #include "fleet/device_fleet.h"
 #include "fleet/enrollment_store.h"
 #include "fleet/region.h"
+#include "scenario/fleet_population.h"
 #include "scenario/registry.h"
 #include "scenario/scenario_util.h"
 #include "scenario/scheduler_workloads.h"
@@ -55,13 +52,13 @@ namespace {
 
 /** Shared fleet construction from the run options. */
 FleetConfig
-fleetConfigFor(const RunContext &ctx, int64_t default_devices)
+fleetConfigFor(const RunContext &ctx, size_t default_devices)
 {
     const RunOptions &options = ctx.options();
     FleetConfig fc;
     fc.population_seed = paperSeed(options, 2026);
-    fc.devices =
-        static_cast<uint64_t>(options.devicesOr(default_devices));
+    fc.devices = static_cast<uint64_t>(
+        options.devicesOr(static_cast<int64_t>(default_devices)));
     fc.shards = options.shardsOr(4);
     fc.dram = moduleFor(options, options.capacityMbOr(1024),
                         options.channelsOr(1));
@@ -78,14 +75,12 @@ authConfigFor(const RunContext &ctx)
     return ac;
 }
 
-/** Signature-size statistics over a store (ascending device ids). */
-RunningStats
-signatureCellStats(const EnrollmentStore &store)
+/** The cost model an AuthService over `fc` measures. */
+FleetCostModel
+costModelFor(const FleetConfig &fc, const AuthConfig &ac)
 {
-    RunningStats cells;
-    for (uint64_t id : store.deviceIds())
-        cells.add(static_cast<double>(store.lookup(id)->cells.size()));
-    return cells;
+    return buildFleetCostModel(fc.dram, fc.sig_params.filter_challenges,
+                               ac.energy);
 }
 
 void
@@ -112,32 +107,30 @@ emitLatencyRow(RunContext &ctx, const std::string &section,
                 .add("energy_mj", report.total_energy_nj / 1e6)
                 .addTiming("wall_s", report.wall_seconds)
                 .addTiming("wall_krps",
-                           report.wall_seconds > 0.0
-                               ? static_cast<double>(report.requests) /
-                                     report.wall_seconds / 1e3
-                               : 0.0));
+                           ratio(report.requests, report.wall_seconds) /
+                               1e3));
 }
 
 void
 runFleetEnroll(RunContext &ctx)
 {
-    const FleetConfig fc =
-        fleetConfigFor(ctx, static_cast<int64_t>(ctx.scaled(2000)));
+    const FleetConfig fc = fleetConfigFor(ctx, ctx.scaled(2000));
     DeviceFleet fleet(fc);
     EnrollmentStore store(fc.population_seed);
     const AuthConfig ac = authConfigFor(ctx);
-    AuthService service(fleet, store, ac);
 
     const auto wall_start = std::chrono::steady_clock::now();
-    service.enrollAll();
+    enrollFleet(fleet, store, ac.threads);
     const double wall_s =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - wall_start)
             .count();
 
-    const RunningStats cells = signatureCellStats(store);
-    const FleetCostModel &cm = service.costModel();
-    const double per_device_ns = cm.sig_eval_ns + ac.store_write_ns;
+    RunningStats cells;
+    for (uint64_t id : store.deviceIds())
+        cells.add(static_cast<double>(store.lookup(id)->cells.size()));
+    const double per_device_ns =
+        costModelFor(fc, ac).sig_eval_ns + ac.store_write_ns;
     ctx.row("enrolled population",
             ResultRow()
                 .add("devices", static_cast<uint64_t>(fc.devices))
@@ -153,10 +146,7 @@ runFleetEnroll(RunContext &ctx)
                          1e6)
                 .addTiming("wall_s", wall_s)
                 .addTiming("wall_devices_per_s",
-                           wall_s > 0.0
-                               ? static_cast<double>(fc.devices) /
-                                     wall_s
-                               : 0.0));
+                           ratio(fc.devices, wall_s)));
 
     if (!ctx.options().store_path.empty()) {
         store.saveFile(ctx.options().store_path);
@@ -173,74 +163,16 @@ runFleetEnroll(RunContext &ctx)
              "count.");
 }
 
-/**
- * The enrolled population for a traffic scenario: loaded from
- * --store when given, else enrolled in memory first.
- */
-struct TrafficSetup
-{
-    FleetConfig fleet_config;
-    EnrollmentStore store{0};
-    std::vector<uint64_t> targets;
-};
-
-TrafficSetup
-setupEnrolledFleet(RunContext &ctx, int64_t default_devices)
-{
-    // The setup path below loads the store into memory and rebuilds
-    // the population from its device-id list; serving a mapped store
-    // is wired into fleet_scaling (the population-scale study) only.
-    if (ctx.options().store_mmap)
-        fatal("fleet: --store-mmap is supported by fleet_scaling "
-              "(the population-scale study); this scenario loads "
-              "the store into memory");
-    TrafficSetup setup;
-    setup.fleet_config = fleetConfigFor(ctx, default_devices);
-    if (!ctx.options().store_path.empty()) {
-        setup.store =
-            EnrollmentStore::loadFile(ctx.options().store_path);
-        if (setup.store.size() == 0)
-            fatal("fleet: enrollment store '",
-                  ctx.options().store_path, "' is empty");
-        setup.targets = setup.store.deviceIds();
-        // The store is authoritative: rebuild the exact population
-        // it was enrolled from. Tell the user when that overrides
-        // an explicit flag rather than ignoring it silently.
-        if (ctx.options().devices > 0 &&
-            static_cast<uint64_t>(ctx.options().devices) !=
-                setup.store.size())
-            warn("fleet: --devices ", ctx.options().devices,
-                 " ignored; the --store file pins the population (",
-                 setup.store.size(), " enrolled devices)");
-        setup.fleet_config.population_seed =
-            setup.store.populationSeed();
-        setup.fleet_config.devices = setup.targets.back() + 1;
-    } else {
-        setup.store =
-            EnrollmentStore(setup.fleet_config.population_seed);
-    }
-    return setup;
-}
-
-/** Enroll in memory when no --store file provided the population. */
-void
-finishSetup(TrafficSetup &setup, AuthService &service)
-{
-    if (setup.targets.empty()) {
-        service.enrollAll();
-        setup.targets = setup.store.deviceIds();
-    }
-}
-
 void
 runFleetAuthLoad(RunContext &ctx)
 {
-    TrafficSetup setup = setupEnrolledFleet(
-        ctx, static_cast<int64_t>(ctx.scaled(2000)));
-    DeviceFleet fleet(setup.fleet_config);
+    const FleetPopulation pop =
+        populationFor(ctx.options(), fleetConfigFor(ctx, ctx.scaled(2000)));
+    const std::vector<uint64_t> &targets = pop.targets;
+    DeviceFleet fleet(pop.config);
+    EnrollmentStore store = pop.open();
     const AuthConfig ac = authConfigFor(ctx);
-    AuthService service(fleet, setup.store, ac);
-    finishSetup(setup, service);
+    AuthService service(fleet, store, ac);
 
     TrafficConfig tc;
     tc.traffic_seed = paperSeed(ctx.options(), 31);
@@ -248,31 +180,23 @@ runFleetAuthLoad(RunContext &ctx)
         ctx.options().requestsOr(
             static_cast<int64_t>(ctx.scaled(20000))));
     tc.zipf = ctx.options().zipfOr(0.0);
-    const RequestGenerator gen(tc, setup.targets);
-    const LoadReport report = service.execute(gen.generate());
+    const LoadReport report =
+        service.execute(pop.generator(tc).generate());
 
     const uint64_t auth_known =
         report.accepted + report.rejected;
     ctx.row("authentication outcomes",
             ResultRow()
-                .add("devices",
-                     static_cast<uint64_t>(setup.targets.size()))
+                .add("devices", static_cast<uint64_t>(targets.size()))
                 .add("requests", report.requests)
                 .add("zipf", tc.zipf)
                 .add("accepted", report.accepted)
                 .add("rejected", report.rejected)
                 .add("unknown_device", report.unknown_device)
                 .add("true_accept_rate",
-                     auth_known
-                         ? static_cast<double>(report.accepted) /
-                               static_cast<double>(auth_known)
-                         : 0.0)
+                     ratio(report.accepted, auth_known))
                 .add("planned_cache_hit_rate",
-                     auth_known
-                         ? static_cast<double>(
-                               report.planned_cache_hits) /
-                               static_cast<double>(auth_known)
-                         : 0.0));
+                     ratio(report.planned_cache_hits, auth_known)));
     emitLatencyRow(ctx, "modeled service latency", report);
 
     // Impostor probes: a fresh response of device A scored against
@@ -280,7 +204,7 @@ runFleetAuthLoad(RunContext &ctx)
     // clear the acceptance threshold.
     {
         Rng rng(paperSeed(ctx.options(), 37));
-        const size_t n = setup.targets.size();
+        const size_t n = targets.size();
         // Impostor pairs need two distinct devices; with a
         // single-device population the probe would score a device
         // against itself and count genuine accepts as false ones.
@@ -288,13 +212,13 @@ runFleetAuthLoad(RunContext &ctx)
             n < 2 ? 0 : std::min<size_t>(ctx.scaled(500), tc.requests);
         uint64_t false_accepts = 0;
         for (size_t t = 0; t < trials; ++t) {
-            const uint64_t a = setup.targets[rng.below(n)];
-            uint64_t b = setup.targets[rng.below(n)];
+            const uint64_t a = targets[rng.below(n)];
+            uint64_t b = targets[rng.below(n)];
             while (b == a)
-                b = setup.targets[rng.below(n)];
-            const auto golden = setup.store.lookup(b);
-            const Response probe =
-                fleet.challengeResponse(a, rng.next64());
+                b = targets[rng.below(n)];
+            const auto golden = store.lookup(b);
+            const Response probe = fleet.challengeResponse(
+                a, fleet.goldenChallenge(a), rng.next64());
             if (golden &&
                 jaccard(*golden, probe) >= ac.accept_threshold)
                 ++false_accepts;
@@ -329,16 +253,15 @@ mixedTraffic(RunContext &ctx, uint64_t default_requests)
 void
 runFleetMixed(RunContext &ctx)
 {
-    TrafficSetup setup = setupEnrolledFleet(
-        ctx, static_cast<int64_t>(ctx.scaled(1000)));
-    DeviceFleet fleet(setup.fleet_config);
-    AuthService service(fleet, setup.store, authConfigFor(ctx));
-    finishSetup(setup, service);
+    const FleetPopulation pop =
+        populationFor(ctx.options(), fleetConfigFor(ctx, ctx.scaled(1000)));
+    DeviceFleet fleet(pop.config);
+    EnrollmentStore store = pop.open();
+    AuthService service(fleet, store, authConfigFor(ctx));
 
     const TrafficConfig tc = mixedTraffic(ctx, ctx.scaled(20000));
-    const RequestGenerator gen(tc, setup.targets);
-    const std::vector<FleetRequest> stream = gen.generate();
-    const LoadReport report = service.execute(stream);
+    const LoadReport report =
+        service.execute(pop.generator(tc).generate());
 
     for (int k = 0; k < kRequestKinds; ++k) {
         ctx.row("request mix",
@@ -347,12 +270,7 @@ runFleetMixed(RunContext &ctx)
                                      static_cast<RequestKind>(k)))
                     .add("requests", report.by_kind[k])
                     .add("share",
-                         report.requests
-                             ? static_cast<double>(
-                                   report.by_kind[k]) /
-                                   static_cast<double>(
-                                       report.requests)
-                             : 0.0));
+                         ratio(report.by_kind[k], report.requests)));
     }
     ctx.row("functionality outcomes",
             ResultRow()
@@ -386,8 +304,7 @@ emitScalingRow(RunContext &ctx, int shards, const LoadReport &report,
     for (double b : report.shard_busy_ns)
         busy_sum += b;
     const double busy_mean = busy_sum / static_cast<double>(shards);
-    const double speedup =
-        makespan_ns > 0.0 ? makespan_1 / makespan_ns : 0.0;
+    const double speedup = ratio(makespan_1, makespan_ns);
     ctx.row("shard scaling (replayed DRAM makespan)",
             ResultRow()
                 .add("shards", shards)
@@ -396,10 +313,7 @@ emitScalingRow(RunContext &ctx, int shards, const LoadReport &report,
                 .add("speedup_vs_1_shard", speedup)
                 .add("efficiency", speedup / shards)
                 .add("achieved_krps",
-                     makespan_ns > 0.0
-                         ? static_cast<double>(report.requests) /
-                               (makespan_ns / 1e9) / 1e3
-                         : 0.0)
+                     ratio(report.requests, makespan_ns / 1e9) / 1e3)
                 .add("offered_krps", offered_rps / 1e3)
                 .add("imbalance",
                      busy_mean > 0.0 ? makespan_ns / busy_mean
@@ -408,137 +322,79 @@ emitScalingRow(RunContext &ctx, int shards, const LoadReport &report,
 }
 
 /**
- * fleet_scaling --store-mmap: the shard sweep served off a binary
- * store file through the mmap read path. When the file does not
- * exist yet it is synthesized as a deterministic pseudo-population
- * (a pure function of the population seed) - the serving data path
- * under study (index binary search, decode-on-demand, LRU cache,
- * overlay writes) never depends on whether the signatures came from
- * real PUF enrollment, and real enrollment of 10^7 devices would
- * take hours of simulated silicon. Auth outcomes against synthetic
- * signatures are reported but are not the study's subject.
+ * Shard-count sweep of the replayed makespan. With --store-mmap it
+ * serves a mapped --store file, first synthesizing a missing one as
+ * a deterministic pseudo-population: the serving data path under
+ * study never depends on whether the signatures came from real PUF
+ * enrollment, which would take hours at 10^7 devices. Auth outcomes
+ * against synthetic signatures are not the study's subject.
  */
-void
-runFleetScalingMmap(RunContext &ctx)
-{
-    const RunOptions &options = ctx.options();
-    FleetConfig proto_config = fleetConfigFor(
-        ctx, static_cast<int64_t>(ctx.scaled(1000)));
-    const std::string &path = options.store_path;
-
-    if (!std::ifstream(path, std::ios::binary).good()) {
-        const uint64_t written = writeSyntheticStore(
-            path, proto_config.population_seed, proto_config.devices,
-            proto_config.segment_bits, /*cells_per_record=*/24);
-        // Path and reuse are environment detail: keep them out of
-        // the structured rows (like fleet_enroll's --store write).
-        inform("fleet_scaling: synthesized ", written,
-               "-record store at '", path, "'");
-    }
-
-    const TrafficConfig tc = mixedTraffic(ctx, ctx.scaled(8000));
-    std::vector<int> sweep = {1, 2, 4, 8};
-    if (options.shards > 8)
-        sweep.push_back(options.shards);
-
-    bool described = false;
-    double makespan_1 = 0.0;
-    for (int shards : sweep) {
-        FleetConfig fc = proto_config;
-        fc.shards = shards;
-        // A fresh mapping per sweep point: re-enrollment overlays
-        // are per-point state (the file itself is never mutated).
-        EnrollmentStore store(path);
-        fc.population_seed = store.populationSeed();
-        if (!described) {
-            described = true;
-            ctx.row("mmap store",
-                    ResultRow()
-                        .add("base_records",
-                             static_cast<uint64_t>(
-                                 store.baseRecords()))
-                        .add("mapped_mb",
-                             static_cast<double>(
-                                 store.baseBytes()) /
-                                 (1024.0 * 1024.0)));
-        }
-        DeviceFleet fleet(fc);
-        AuthService service(fleet, store, authConfigFor(ctx));
-        // The generator targets the population range directly: a
-        // device-id scan of a 10^7-record index would cost the very
-        // memory the mmap path exists to avoid.
-        const RequestGenerator gen(tc, fc.devices);
-        const LoadReport report = service.execute(gen.generate());
-        if (shards == 1)
-            makespan_1 = report.makespanNs();
-        emitScalingRow(ctx, shards, report, makespan_1,
-                       tc.offered_rps);
-    }
-    ctx.note("Store records are decoded on demand through the mmap "
-             "index (O(log n) page touches per cold lookup) and the "
-             "bounded LRU cache: per-request memory stays flat at "
-             "any store size. Re-enrollments land in a heap overlay; "
-             "MmapEnrollmentStore::compactTo() folds them back into "
-             "a fresh file.");
-}
-
 void
 runFleetScaling(RunContext &ctx)
 {
-    if (ctx.options().store_mmap) {
-        runFleetScalingMmap(ctx);
-        return;
+    const RunOptions &options = ctx.options();
+    const bool mapped = options.store_mmap;
+    const FleetConfig proto_config = fleetConfigFor(ctx, ctx.scaled(1000));
+    if (mapped && !std::ifstream(options.store_path, std::ios::binary)
+                       .good()) {
+        const uint64_t written = writeSyntheticStore(
+            options.store_path, proto_config.population_seed,
+            proto_config.devices, proto_config.segment_bits,
+            /*cells_per_record=*/24);
+        // Path and reuse are environment detail: keep them out of
+        // the structured rows (like fleet_enroll's --store write).
+        inform("fleet_scaling: synthesized ", written,
+               "-record store at '", options.store_path, "'");
     }
+    const FleetPopulation pop =
+        populationFor(options, proto_config, /*mapped_ok=*/true);
     const TrafficConfig tc = mixedTraffic(ctx, ctx.scaled(8000));
+    const std::vector<FleetRequest> stream =
+        pop.generator(tc).generate();
 
     // Like ablation_engine_parallelism: the sweep is the study
     // input; an explicit --shards above the floor extends it (and
     // with it the row set).
     std::vector<int> sweep = {1, 2, 4, 8};
-    if (ctx.options().shards > 8)
-        sweep.push_back(ctx.options().shards);
-
-    // Enroll once and snapshot the store: the signatures are
-    // identical at every shard count, and each sweep point needs a
-    // fresh store only because execute() mutates it through
-    // re-enrollments - a varint reload is far cheaper than
-    // re-running the O(devices) PUF enrollment per sweep point.
-    std::string store_snapshot;
-    FleetConfig proto_config;
-    {
-        TrafficSetup setup = setupEnrolledFleet(
-            ctx, static_cast<int64_t>(ctx.scaled(1000)));
-        DeviceFleet fleet(setup.fleet_config);
-        AuthService service(fleet, setup.store, authConfigFor(ctx));
-        finishSetup(setup, service);
-        proto_config = setup.fleet_config;
-        std::ostringstream bytes;
-        setup.store.saveBinary(bytes);
-        store_snapshot = bytes.str();
-    }
+    if (options.shards > 8)
+        sweep.push_back(options.shards);
 
     double makespan_1 = 0.0;
     for (int shards : sweep) {
-        FleetConfig fc = proto_config;
+        FleetConfig fc = pop.config;
         fc.shards = shards;
-        std::istringstream bytes(store_snapshot);
-        EnrollmentStore store = EnrollmentStore::loadBinary(bytes);
-        const std::vector<uint64_t> targets = store.deviceIds();
+        // A fresh store per sweep point: re-enrollment overlays are
+        // per-point state (the image itself is never mutated).
+        EnrollmentStore store = pop.open();
+        if (mapped && shards == sweep.front())
+            ctx.row("mmap store",
+                    ResultRow()
+                        .add("base_records",
+                             static_cast<uint64_t>(store.baseRecords()))
+                        .add("mapped_mb",
+                             static_cast<double>(store.baseBytes()) /
+                                 (1024.0 * 1024.0)));
         DeviceFleet fleet(fc);
         AuthService service(fleet, store, authConfigFor(ctx));
-        const RequestGenerator gen(tc, targets);
-        const LoadReport report = service.execute(gen.generate());
-
+        const LoadReport report = service.execute(stream);
         if (shards == 1)
             makespan_1 = report.makespanNs();
         emitScalingRow(ctx, shards, report, makespan_1,
                        tc.offered_rps);
     }
-    ctx.note("Each shard replays its batch on its own DramSystem; "
-             "the makespan is the slowest shard's busy time. "
-             "Zipf-skewed popularity bounds the speedup through the "
-             "hottest shard (device-id sharding keeps a device's "
-             "state on one shard).");
+    if (mapped)
+        ctx.note("Store records are decoded on demand through the mmap "
+                 "index (O(log n) page touches per cold lookup) and the "
+                 "bounded LRU cache: per-request memory stays flat at "
+                 "any store size. Re-enrollments land in a heap "
+                 "overlay; MmapEnrollmentStore::compactTo() folds them "
+                 "back into a fresh file.");
+    else
+        ctx.note("Each shard replays its batch on its own DramSystem; "
+                 "the makespan is the slowest shard's busy time. "
+                 "Zipf-skewed popularity bounds the speedup through "
+                 "the hottest shard (device-id sharding keeps a "
+                 "device's state on one shard).");
 }
 
 /** Admission/shed telemetry row shared by the serving scenarios. */
@@ -584,20 +440,19 @@ emitAdmissionRow(RunContext &ctx, const std::string &section,
 void
 runFleetOverload(RunContext &ctx)
 {
-    TrafficSetup setup = setupEnrolledFleet(
-        ctx, static_cast<int64_t>(ctx.scaled(400)));
-    DeviceFleet fleet(setup.fleet_config);
+    const FleetPopulation pop =
+        populationFor(ctx.options(), fleetConfigFor(ctx, ctx.scaled(400)));
     AuthConfig ac = authConfigFor(ctx);
-    AuthService probe(fleet, setup.store, ac);
-    finishSetup(setup, probe);
 
     // Capacity: --shed overrides; the default is the cost model's
     // own serving capacity (lanes over one authenticate service
     // time), so the sweep brackets saturation by construction.
-    const double capacity_rps =
-        ctx.options().shedOr(probe.modeledCapacityRps());
+    const double capacity_rps = ctx.options().shedOr(
+        modeledCapacityRps(costModelFor(pop.config, ac), ac));
     ac.admission.capacity_rps = capacity_rps;
-    AuthService service(fleet, setup.store, ac);
+    DeviceFleet fleet(pop.config);
+    EnrollmentStore store = pop.open();
+    AuthService service(fleet, store, ac);
 
     // Mix without re-enrollment: the store stays read-only, so one
     // enrolled population serves every sweep point.
@@ -619,8 +474,8 @@ runFleetOverload(RunContext &ctx)
     double prev_shed_rate = 0.0;
     for (double mult : multipliers) {
         tc.offered_rps = capacity_rps * mult;
-        const RequestGenerator gen(tc, setup.targets);
-        const LoadReport report = service.execute(gen.generate());
+        const LoadReport report =
+            service.execute(pop.generator(tc).generate());
 
         if (mult == multipliers[0])
             in_capacity_urgent_p99 = report.admitted_urgent_p99_ns;
@@ -636,20 +491,12 @@ runFleetOverload(RunContext &ctx)
                 RequestKind::Authenticate)];
         const uint64_t best_effort_total =
             report.requests - urgent_total;
-        const double urgent_shed_frac =
-            urgent_total ? static_cast<double>(report.shed_urgent) /
-                               static_cast<double>(urgent_total)
-                         : 0.0;
-        const double best_effort_shed_frac =
-            best_effort_total
-                ? static_cast<double>(report.shed_best_effort) /
-                      static_cast<double>(best_effort_total)
-                : 0.0;
         // Strictly "never shed before": allow equality (both 0 in
         // capacity, both saturated deep into overload).
-        urgent_protected = urgent_protected &&
-                           urgent_shed_frac <=
-                               best_effort_shed_frac + 1e-9;
+        urgent_protected =
+            urgent_protected &&
+            ratio(report.shed_urgent, urgent_total) <=
+                ratio(report.shed_best_effort, best_effort_total) + 1e-9;
 
         emitAdmissionRow(ctx, "offered-load sweep",
                          ResultRow()
@@ -717,20 +564,12 @@ runFleetRegionServing(RunContext &ctx)
     const int threads = ctx.options().threads;
 
     // Each region's capacity comes from the shared cost model (all
-    // regions serve the same DRAM grade), measured once on a probe.
-    const double derived_capacity = [&] {
-        FleetConfig fc = fleetConfigFor(ctx, 1);
-        DeviceFleet probe_fleet(fc);
-        EnrollmentStore probe_store(fc.population_seed);
-        return AuthService(probe_fleet, probe_store,
-                           authConfigFor(ctx))
-            .modeledCapacityRps();
-    }();
-    const double capacity_rps =
-        ctx.options().shedOr(derived_capacity);
+    // regions serve the same DRAM grade).
+    const AuthConfig ac = authConfigFor(ctx);
+    const double capacity_rps = ctx.options().shedOr(modeledCapacityRps(
+        costModelFor(fleetConfigFor(ctx, 1), ac), ac));
 
     std::vector<RegionConfig> configs;
-    std::vector<std::string> selector_names;
     for (int r = 0; r < region_count; ++r) {
         const RegionPreset &preset =
             kRegionPresets[static_cast<size_t>(r) %
@@ -740,8 +579,7 @@ runFleetRegionServing(RunContext &ctx)
                   (static_cast<size_t>(r) < kRegionPresetCount
                        ? ""
                        : "_" + std::to_string(r));
-        rc.fleet = fleetConfigFor(
-            ctx, static_cast<int64_t>(ctx.scaled(300)));
+        rc.fleet = fleetConfigFor(ctx, ctx.scaled(300));
         // Distinct populations: regions never share device identity.
         rc.fleet.population_seed +=
             1000ull * static_cast<uint64_t>(r + 1);
@@ -759,7 +597,7 @@ runFleetRegionServing(RunContext &ctx)
         rc.traffic.weight_dealloc = preset.weight_dealloc;
         rc.traffic.offered_rps =
             capacity_rps * preset.capacity_multiplier;
-        rc.auth = authConfigFor(ctx);
+        rc.auth = ac;
         rc.auth.admission.capacity_rps = capacity_rps;
 
         if (std::string(preset.selector) == "rebalanced") {
@@ -774,7 +612,6 @@ runFleetRegionServing(RunContext &ctx)
             rc.fleet.shard_selector =
                 ShardSelector::create(preset.selector);
         }
-        selector_names.push_back(preset.selector);
         configs.push_back(std::move(rc));
     }
 
@@ -790,16 +627,13 @@ runFleetRegionServing(RunContext &ctx)
             ctx, "per-region serving",
             ResultRow()
                 .add("region", result.names[r])
-                .add("selector", selector_names[r])
+                .add("selector",
+                     kRegionPresets[r % kRegionPresetCount].selector)
                 .add("offered_krps",
                      set.config(r).traffic.offered_rps / 1e3)
                 .add("accepted", report.accepted)
                 .add("planned_cache_hit_rate",
-                     auth_known
-                         ? static_cast<double>(
-                               report.planned_cache_hits) /
-                               static_cast<double>(auth_known)
-                         : 0.0),
+                     ratio(report.planned_cache_hits, auth_known)),
             report);
     }
 
@@ -862,33 +696,21 @@ runAblationQos(RunContext &ctx)
 
     // --- Half 1: fleet_mixed storm, replayed per variant. ---------
     const TrafficConfig tc = mixedTraffic(ctx, ctx.scaled(6000));
-    std::string store_snapshot;
-    FleetConfig proto_config;
-    {
-        TrafficSetup setup = setupEnrolledFleet(
-            ctx, static_cast<int64_t>(ctx.scaled(400)));
-        DeviceFleet fleet(setup.fleet_config);
-        AuthService service(fleet, setup.store, authConfigFor(ctx));
-        finishSetup(setup, service);
-        proto_config = setup.fleet_config;
-        std::ostringstream bytes;
-        setup.store.saveBinary(bytes);
-        store_snapshot = bytes.str();
-    }
-    proto_config.shards = 1;
+    const FleetPopulation pop =
+        populationFor(ctx.options(), fleetConfigFor(ctx, ctx.scaled(400)));
+    const std::vector<FleetRequest> stream =
+        pop.generator(tc).generate();
 
     double fleet_p99_blind_us = 0.0;
     double fleet_p99_serving_us = 0.0;
     for (const Variant &v : variants) {
-        FleetConfig fc = proto_config;
+        FleetConfig fc = pop.config;
+        fc.shards = 1;
         fc.dram.scheduler = SchedulerPolicy::parse(v.spec);
-        std::istringstream bytes(store_snapshot);
-        EnrollmentStore store = EnrollmentStore::loadBinary(bytes);
-        const std::vector<uint64_t> targets = store.deviceIds();
+        EnrollmentStore store = pop.open();
         DeviceFleet fleet(fc);
         AuthService service(fleet, store, authConfigFor(ctx));
-        const RequestGenerator gen(tc, targets);
-        const LoadReport report = service.execute(gen.generate());
+        const LoadReport report = service.execute(stream);
 
         const double p99_us = report.auth_replay_p99_ns / 1e3;
         if (std::string(v.name) == "batched_blind")
@@ -924,14 +746,9 @@ runAblationQos(RunContext &ctx)
                                  /*background_reads=*/12, &urgent_lat,
                                  &bg_lat);
 
-        std::vector<double> urgent_us;
-        urgent_us.reserve(urgent_lat.size());
-        for (Cycle c : urgent_lat)
-            urgent_us.push_back(cfg.cyclesToNs(c) / 1e3);
-        std::vector<double> bg_us;
-        bg_us.reserve(bg_lat.size());
-        for (Cycle c : bg_lat)
-            bg_us.push_back(cfg.cyclesToNs(c) / 1e3);
+        const std::vector<double> urgent_us =
+            latenciesUs(cfg, urgent_lat);
+        const std::vector<double> bg_us = latenciesUs(cfg, bg_lat);
 
         const double p99_us =
             urgent_us.empty() ? 0.0 : percentile(urgent_us, 99.0);

@@ -57,6 +57,13 @@ moduleFor(const RunOptions &options, int64_t capacity_mb,
                               capacity_mb, channels, ranks);
 }
 
+/** num / den, or 0 for an empty denominator. */
+inline double
+ratio(double num, double den)
+{
+    return den > 0.0 ? num / den : 0.0;
+}
+
 /** Latency samples (cycles) converted to microseconds. */
 inline std::vector<double>
 latenciesUs(const DramConfig &cfg, const std::vector<Cycle> &cycles)

@@ -23,13 +23,10 @@
 #include "scenario/builtin.h"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "dram/system.h"
-#include "fleet/auth_service.h"
-#include "fleet/device_fleet.h"
-#include "fleet/enrollment_store.h"
+#include "scenario/fleet_population.h"
 #include "scenario/registry.h"
 #include "scenario/scenario_util.h"
 #include "scenario/scheduler_workloads.h"
@@ -136,33 +133,22 @@ runAblationScheduler(RunContext &ctx)
         tc.weight_trng = 0.1;
         tc.weight_dealloc = 0.1;
 
-        // Enroll once; every sweep point reloads the snapshot (the
+        // Enroll once; every sweep point opens a fresh store (the
         // store mutates through re-enrollments during execution).
-        std::string store_snapshot;
-        {
-            DeviceFleet fleet(fc);
-            EnrollmentStore store(fc.population_seed);
-            AuthConfig ac;
-            ac.threads = ctx.options().threads;
-            AuthService service(fleet, store, ac);
-            service.enrollAll();
-            std::ostringstream bytes;
-            store.saveBinary(bytes);
-            store_snapshot = bytes.str();
-        }
+        AuthConfig ac;
+        ac.threads = ctx.options().threads;
+        const FleetPopulation pop = enrollPopulation(fc, ac.threads);
+        const std::vector<FleetRequest> stream =
+            pop.generator(tc).generate();
 
         double makespan_serial = 0.0;
         for (const int batch : {1, 2, 4, 8, 16}) {
             FleetConfig point = fc;
             point.dram.scheduler.replay_batch = batch;
-            std::istringstream bytes(store_snapshot);
-            EnrollmentStore store = EnrollmentStore::loadBinary(bytes);
+            EnrollmentStore store = pop.open();
             DeviceFleet fleet(point);
-            AuthConfig ac;
-            ac.threads = ctx.options().threads;
             AuthService service(fleet, store, ac);
-            const RequestGenerator gen(tc, store.deviceIds());
-            const LoadReport report = service.execute(gen.generate());
+            const LoadReport report = service.execute(stream);
             const double makespan_ns = report.makespanNs();
             if (batch == 1)
                 makespan_serial = makespan_ns;
@@ -172,9 +158,7 @@ runAblationScheduler(RunContext &ctx)
                         .add("requests", report.requests)
                         .add("makespan_ms", makespan_ns / 1e6)
                         .add("speedup_vs_serial",
-                             makespan_ns > 0.0
-                                 ? makespan_serial / makespan_ns
-                                 : 0.0)
+                             ratio(makespan_serial, makespan_ns))
                         .addTiming("wall_s", report.wall_seconds));
         }
         ctx.note("replay_batch devices of a shard replay their DRAM "

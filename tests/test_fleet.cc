@@ -51,7 +51,8 @@ TEST(DeviceFleet, DeviceIdentityIndependentOfShardCount)
         const Challenge a = one.goldenChallenge(id);
         const Challenge b = five.goldenChallenge(id);
         EXPECT_EQ(a.segment_id, b.segment_id);
-        EXPECT_EQ(one.enrollSignature(id), five.enrollSignature(id));
+        EXPECT_EQ(one.enrollSignature(id, a),
+                  five.enrollSignature(id, b));
     }
 }
 
@@ -379,10 +380,7 @@ TEST(AuthService, EnrollmentStoreIndependentOfShardsAndThreads)
          {std::pair{1, 1}, {3, 1}, {4, 8}}) {
         DeviceFleet fleet(testFleetConfig(48, shards));
         EnrollmentStore store(fleet.config().population_seed);
-        AuthConfig ac;
-        ac.threads = threads;
-        AuthService service(fleet, store, ac);
-        service.enrollAll();
+        enrollFleet(fleet, store, threads);
         std::ostringstream out;
         store.saveBinary(out);
         if (reference.empty())
@@ -402,7 +400,7 @@ TEST(AuthService, ReportIndependentOfShardsAndThreads)
         AuthConfig ac;
         ac.threads = threads;
         AuthService service(fleet, store, ac);
-        service.enrollAll();
+        enrollFleet(fleet, store, threads);
         return service.execute(mixedStream(48, 400));
     };
     const LoadReport reference = runWith(1, 1);
@@ -417,7 +415,7 @@ TEST(AuthService, TrueAcceptRateMeetsPaperLevel)
     DeviceFleet fleet(testFleetConfig(48, 3));
     EnrollmentStore store(fleet.config().population_seed);
     AuthService service(fleet, store, {});
-    service.enrollAll();
+    enrollFleet(fleet, store, 0);
     TrafficConfig tc;
     tc.requests = 600;
     const LoadReport report =
@@ -457,7 +455,7 @@ TEST(AuthService, PersistedStoreAuthenticatesInASecondRun)
         DeviceFleet fleet(testFleetConfig(32, 4));
         EnrollmentStore store(fleet.config().population_seed);
         AuthService service(fleet, store, {});
-        service.enrollAll();
+        enrollFleet(fleet, store, 0);
         store.saveFile(path);
     }
 
@@ -513,6 +511,41 @@ TEST(FleetScenarios, MixedJsonByteIdenticalAcrossShards)
               fleetJson("fleet_mixed", 3, 8));
 }
 
+/** fleet_scaling --store-mmap over `path`: its rows as CSV lines. */
+std::string
+mappedScalingRows(const std::string &path, int64_t devices, int threads)
+{
+    RunOptions options;
+    options.scale = 0.05;
+    options.devices = devices;
+    options.threads = threads;
+    options.store_path = path;
+    options.store_mmap = true;
+    std::ostringstream out;
+    CsvResultSink sink(out);
+    EXPECT_TRUE(runScenario("fleet_scaling", options, sink));
+    return out.str();
+}
+
+TEST(FleetScenarios, MappedStorePinsThePopulation)
+{
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "codic_test_mapped_pin";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const std::string path = (dir / "store.bin").string();
+
+    // The first run synthesizes a 2,000-record store; the rest map it.
+    const std::string rows = mappedScalingRows(path, 2000, 1);
+    EXPECT_NE(rows.find("mmap store,0,base_records,2000\n"),
+              std::string::npos);
+    EXPECT_EQ(mappedScalingRows(path, 2000, 1), rows);
+    // The store file, not --devices, sets the population.
+    EXPECT_EQ(mappedScalingRows(path, 4000, 1), rows);
+    EXPECT_EQ(mappedScalingRows(path, 2000, 8), rows);
+    std::filesystem::remove_all(dir);
+}
+
 // --- Queueing-aware latency and batched bank-parallel replay. ---
 
 TEST(AuthService, QueueingWaitsOnlyForOpenLoopStreams)
@@ -521,7 +554,7 @@ TEST(AuthService, QueueingWaitsOnlyForOpenLoopStreams)
         DeviceFleet fleet(testFleetConfig(32, 2));
         EnrollmentStore store(fleet.config().population_seed);
         AuthService service(fleet, store, {});
-        service.enrollAll();
+        enrollFleet(fleet, store, 0);
         TrafficConfig tc;
         tc.traffic_seed = 23;
         tc.requests = 400;
@@ -562,7 +595,7 @@ TEST(AuthService, OutOfPopulationDeviceIdsReportUnknownNotPanic)
     DeviceFleet fleet(testFleetConfig(16, 2));
     EnrollmentStore store(fleet.config().population_seed);
     AuthService service(fleet, store, {});
-    service.enrollAll();
+    enrollFleet(fleet, store, 0);
     std::vector<FleetRequest> stream(3);
     stream[0].device_id = 3; // Enrolled.
     stream[1].device_id = 1u << 20; // Far outside the population.
@@ -582,7 +615,7 @@ TEST(AuthService, BatchedReplayShortensShardMakespan)
         DeviceFleet fleet(fc);
         EnrollmentStore store(fc.population_seed);
         AuthService service(fleet, store, {});
-        service.enrollAll();
+        enrollFleet(fleet, store, 0);
         const LoadReport r =
             service.execute(mixedStream(48, 300));
         EXPECT_GT(r.accepted, 0u);

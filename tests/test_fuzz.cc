@@ -4,11 +4,12 @@
  * the DRAM channel, random schedule classification totality, random
  * cache traffic against a reference model, end-to-end determinism
  * checks, and mutation fuzzers over the enrollment-store and trace
- * formats and the --sched spec parser.
+ * formats, the --sched spec parser and whole codic_run command lines.
  * These guard the invariants DESIGN.md lists: the JEDEC checker
  * never admits an illegal issue, classification is total,
  * simulations are reproducible from seeds, and a malformed store,
- * trace or --sched spec fails loudly instead of crashing.
+ * trace, --sched spec or command line fails loudly instead of
+ * crashing.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "dram/config.h"
 #include "fleet/enrollment_store.h"
 #include "puf/sig_puf.h"
+#include "scenario/cli.h"
 #include "sim/cache.h"
 #include "trace/trace_io.h"
 
@@ -608,6 +610,176 @@ TEST(SchedFuzz, MutantsParseOrThrowFatal)
           "batched:read_window=", "batched:,read_window=4",
           "batched:read_window=4,", "batched:read_window=4,,replay_batch=2"})
         EXPECT_THROW(SchedulerPolicy::parse(bad), FatalError) << bad;
+}
+
+// --- codic_run argv fuzzing. ---
+
+/**
+ * Mutation fuzzer over parseCommandLine: the codic_run command lines
+ * of the CI smoke steps, plus --list, --help and --sched help, each
+ * lose, duplicate or swap an element with its neighbour, have an
+ * element truncated at every length, and have an element replaced by
+ * an empty, dash, zero, negative, NaN, overflowing or --help token.
+ * Each mutant must parse or throw FatalError; any other exception, or
+ * a crash under the sanitizers, fails the test. Parsing never writes:
+ * the seeds' output files all point into a scratch directory that
+ * must stay empty.
+ */
+class ArgvFuzz : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        dir_ = std::filesystem::temp_directory_path() /
+               "codic_test_argv_fuzz";
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directory(dir_);
+    }
+
+    void TearDown() override { std::filesystem::remove_all(dir_); }
+
+    /** A file in the scratch directory (never created). */
+    std::string
+    scratch(const std::string &name) const
+    {
+        return (dir_ / name).string();
+    }
+
+    std::vector<std::vector<std::string>>
+    seeds() const
+    {
+        const std::string trace =
+            std::string(CODIC_REPO_DIR) +
+            "/bench/traces/ablation_scheduler_seed1.trace";
+        const std::string store = scratch("fleet_store.bin");
+        return {
+            {"--list"},
+            {"--list-md"},
+            {"--help"},
+            {"--sched", "help"},
+            {"--sched", "list"},
+            {"--preset", "list"},
+            {"--scenario", "circuit_table2_latency_energy", "--out",
+             scratch("table2.json"), "--csv", scratch("table2.csv"),
+             "--quiet"},
+            {"--scenario", "ablation_engine_parallelism", "--threads", "8",
+             "--scale", "0.1", "--out", scratch("parallelism.json"),
+             "--quiet"},
+            {"--scenario", "fleet_mixed", "--sched", "bogus", "--quiet"},
+            {"--scenario", "ablation_qos", "--scale", "0.25", "--threads",
+             "8", "--out", scratch("qos_t8.json"), "--quiet"},
+            {"--scenario", "ablation_scheduler", "--preset", "ddr4-2400",
+             "--scale", "0.02", "--out", scratch("preset.json"), "--quiet"},
+            {"--scenario", "secdealloc_fig8", "--scenario",
+             "secdealloc_fig9", "--scenario", "coldboot_table6_overhead",
+             "--scenario", "coldboot_fig7_destruction", "--scale", "0.25",
+             "--threads", "4", "--out", scratch("golden_check.json"),
+             "--quiet"},
+            {"--scenario", "fleet_enroll", "--devices", "1000", "--store",
+             store, "--out", scratch("fleet_enroll.json"), "--quiet"},
+            {"--scenario", "fleet_auth_load", "--store", store,
+             "--requests", "20000", "--out", scratch("fleet_auth.json"),
+             "--quiet"},
+            {"--scenario", "fleet_mixed", "--devices", "1000", "--requests",
+             "20000", "--threads", "8", "--shards", "4", "--out",
+             scratch("fleet_mixed_t8.json"), "--quiet"},
+            {"--scenario", "fleet_scaling", "--store", store, "--scale",
+             "0.25", "--threads", "8", "--out",
+             scratch("scaling_store_t8.json"), "--quiet"},
+            {"--scenario", "fleet_region_serving", "--regions", "3",
+             "--scale", "0.25", "--out", scratch("regions.json"),
+             "--quiet"},
+            {"--scenario", "fleet_overload", "--shed", "-1", "--quiet"},
+            {"--scenario", "fleet_scaling", "--devices", "10000000",
+             "--store", scratch("fleet_10m.bin"), "--store-mmap", "--scale",
+             "0.25", "--threads", "1", "--out", scratch("scaling_mmap.json"),
+             "--quiet"},
+            {"--scenario", "ablation_scheduler", "--scale", "0.05",
+             "--threads", "1", "--record-trace", scratch("smoke.trace"),
+             "--quiet", "--out", scratch("record.json")},
+            {"--trace-info", trace},
+            {"--trace", trace, "--threads", "8", "--out",
+             scratch("trace_replay_t8.json"), "--quiet"},
+            {"--trace", scratch("smoke.trace"), "--record-trace",
+             scratch("smoke.trace"), "--quiet"},
+            {"--trace", trace, "--trace-speed", "0", "--quiet"},
+            {"--scenario", "thermal_feedback", "--scenario",
+             "multicore_contention", "--scale", "0.05", "--threads", "8",
+             "--out", scratch("thermal_t8.json"), "--quiet"},
+            {"--scenario", "thermal_feedback", "--ambient", "200",
+             "--epoch-us", "0", "--quiet"},
+            {"--scenario", "multicore_contention", "--cores", "0",
+             "--timings", "--quiet"},
+        };
+    }
+
+    std::filesystem::path dir_;
+};
+
+/** Mutants of one argv (see ArgvFuzz). */
+std::vector<std::vector<std::string>>
+argvMutants(const std::vector<std::string> &args)
+{
+    std::vector<std::vector<std::string>> out;
+    for (size_t i = 0; i < args.size(); ++i) {
+        std::vector<std::string> m = args;
+        m.erase(m.begin() + static_cast<std::ptrdiff_t>(i));
+        out.push_back(m);
+        m = args;
+        m.insert(m.begin() + static_cast<std::ptrdiff_t>(i), args[i]);
+        out.push_back(m);
+        if (i + 1 < args.size()) {
+            m = args;
+            std::swap(m[i], m[i + 1]);
+            out.push_back(m);
+        }
+        for (size_t len = 0; len < args[i].size(); ++len) {
+            m = args;
+            m[i].resize(len);
+            out.push_back(m);
+        }
+        for (const char *token : {"", "-", "--", "0", "-1", "nan", "1e309",
+                                  "99999999999999999999", "--help"}) {
+            m = args;
+            m[i] = token;
+            out.push_back(m);
+        }
+    }
+    return out;
+}
+
+/** parseCommandLine over `codic_run args...`; false when rejected. */
+bool
+parsesArgv(const std::vector<std::string> &args)
+{
+    std::vector<const char *> argv = {"codic_run"};
+    for (const std::string &a : args)
+        argv.push_back(a.c_str());
+    try {
+        parseCommandLine(static_cast<int>(argv.size()), argv.data());
+    } catch (const FatalError &) {
+        return false;
+    }
+    return true;
+}
+
+TEST_F(ArgvFuzz, MutantsParseOrThrowFatal)
+{
+    size_t mutants = 0;
+    size_t accepted = 0;
+    for (const auto &seed : seeds()) {
+        parsesArgv(seed);
+        for (const auto &mutant : argvMutants(seed)) {
+            ++mutants;
+            accepted += parsesArgv(mutant);
+        }
+    }
+    EXPECT_GT(mutants, 4000u);
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, mutants);
+    EXPECT_TRUE(std::filesystem::is_empty(dir_))
+        << "parsing a command line wrote a file";
 }
 
 } // namespace

@@ -519,13 +519,23 @@ overloadStream(uint64_t devices, double offered_rps)
     return RequestGenerator(tc, devices).generate();
 }
 
+/** The modeled capacity of an AuthService over `fleet`. */
+double
+capacityOf(const DeviceFleet &fleet, const AuthConfig &ac)
+{
+    const FleetConfig &fc = fleet.config();
+    return modeledCapacityRps(
+        buildFleetCostModel(fc.dram, fc.sig_params.filter_challenges,
+                            ac.energy),
+        ac);
+}
+
 TEST(AuthServiceAdmission, OverloadShedsAndProtectsUrgent)
 {
     DeviceFleet fleet(servingFleetConfig());
     EnrollmentStore store(fleet.config().population_seed);
-    AuthService probe(fleet, store, {});
-    probe.enrollAll();
-    const double capacity = probe.modeledCapacityRps();
+    enrollFleet(fleet, store, 0);
+    const double capacity = capacityOf(fleet, {});
     ASSERT_GT(capacity, 0.0);
 
     AuthConfig ac;
@@ -564,7 +574,7 @@ TEST(AuthServiceAdmission, DisabledAdmissionAdmitsEverything)
     DeviceFleet fleet(servingFleetConfig());
     EnrollmentStore store(fleet.config().population_seed);
     AuthService service(fleet, store, {});
-    service.enrollAll();
+    enrollFleet(fleet, store, 0);
     const LoadReport r =
         service.execute(overloadStream(fleet.devices(), 5e6));
     EXPECT_FALSE(r.admission_on);
@@ -583,9 +593,8 @@ TEST(AuthServiceAdmission, ReportIndependentOfShardsAndThreads)
         EnrollmentStore store(fleet.config().population_seed);
         AuthConfig ac;
         ac.threads = threads;
-        AuthService probe(fleet, store, ac);
-        probe.enrollAll();
-        ac.admission.capacity_rps = probe.modeledCapacityRps();
+        enrollFleet(fleet, store, threads);
+        ac.admission.capacity_rps = capacityOf(fleet, ac);
         AuthService service(fleet, store, ac);
         return service.execute(overloadStream(
             fleet.devices(), 3.0 * ac.admission.capacity_rps));
@@ -668,7 +677,7 @@ TEST(ShardSelector, PlacementNeverChangesTheStructuredReport)
             DeviceFleet fleet(fc);
             EnrollmentStore store(fc.population_seed);
             AuthService service(fleet, store, {});
-            service.enrollAll();
+            enrollFleet(fleet, store, 0);
             return service.execute(
                 overloadStream(fleet.devices(), 0.0));
         };
@@ -724,7 +733,7 @@ TEST(RegionSet, SingleRegionMatchesStandaloneService)
     DeviceFleet fleet(rc.fleet);
     EnrollmentStore store(rc.fleet.population_seed);
     AuthService service(fleet, store, rc.auth);
-    service.enrollAll();
+    enrollFleet(fleet, store, 0);
     const LoadReport solo = service.execute(
         RequestGenerator(rc.traffic, fleet.devices()).generate());
     expectReportsEqual(result.reports[0], solo);
