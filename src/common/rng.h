@@ -129,15 +129,35 @@ class Rng
             have_cached_ = false;
             return cached_;
         }
+        double z = 0.0;
+        gaussianPair(1.0, z, cached_);
+        have_cached_ = true;
+        return z;
+    }
+
+    /**
+     * One Box-Muller pair: the draw and transform behind gaussian().
+     * Draws u1 in (1e-300, 1) and u2 in [0, 1); sets z_cos = r cos(t)
+     * and z_sin = r sin(t), r = sqrt(-2 ln u1), t = 2 pi u2. If
+     * u1 > u1_max it returns false and leaves both untouched: then
+     * |z_cos|, |z_sin| <= r < sqrt(-2 ln u1_max), and the pair costs
+     * two draws and no transcendental. The stream advances the same
+     * either way.
+     */
+    bool
+    gaussianPair(double u1_max, double &z_cos, double &z_sin)
+    {
         double u1 = 0.0;
         while (u1 <= 1e-300)
             u1 = uniform();
         const double u2 = uniform();
+        if (u1 > u1_max)
+            return false;
         const double r = std::sqrt(-2.0 * std::log(u1));
         const double theta = 2.0 * M_PI * u2;
-        cached_ = r * std::sin(theta);
-        have_cached_ = true;
-        return r * std::cos(theta);
+        z_sin = r * std::sin(theta);
+        z_cos = r * std::cos(theta);
+        return true;
     }
 
     /** Normal draw with explicit mean and standard deviation. */

@@ -86,7 +86,9 @@ struct FleetConfig
      * full 8 KB segment; the ~8-sources-per-segment density means a
      * narrower scan would leave most devices without any metastable
      * source). Enrollment is lazy, so only devices that actually
-     * receive TRNG traffic pay the scan.
+     * receive TRNG traffic pay the scan: two xoshiro draws per pair
+     * of sites, with transcendentals only for the tail candidates
+     * (see CodicTrng).
      */
     int trng_segment_bits = 65536;
 

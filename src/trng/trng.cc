@@ -60,8 +60,19 @@ CodicTrng::CodicTrng(const TrngConfig &config) : config_(config)
     const double noise_rms = thermalNoiseRms(config_.params);
     const double window = config_.metastable_window * noise_rms;
 
-    for (int i = 0; i < config_.segment_bits; ++i) {
-        const double offset = device.gaussian(0.0, sigma);
+    // Sites are drawn in Box-Muller pairs, the stream gaussian() uses.
+    // Both offsets of a pair are at most sigma * r in magnitude, so
+    // when sigma * r < |bias| - window neither can reach the window.
+    // That is u1 > exp(-reach^2 / 2): such a pair is rejected without
+    // the transcendentals, and only the few tail candidates pay them.
+    // The 1e-9 margin absorbs log/exp rounding; when the window
+    // covers the bias, u_skip = 2 and nothing is skipped.
+    const double reach = (std::fabs(bias) - window) / sigma;
+    const double u_skip = std::fabs(bias) <= window
+                              ? 2.0
+                              : std::exp(-0.5 * reach * reach) * (1.0 + 1e-9);
+    const auto consider = [&](int64_t i, double z) {
+        const double offset = 0.0 + sigma * z; // gaussian(0.0, sigma).
         const double residual = offset + bias;
         if (std::fabs(residual) < window) {
             MetastableCell cell;
@@ -71,6 +82,17 @@ CodicTrng::CodicTrng(const TrngConfig &config) : config_(config)
             cell.p_one = 1.0 - normalCdf(-residual / noise_rms);
             sources_.push_back(cell);
         }
+    };
+    for (int64_t i = 0; i < config_.segment_bits; i += 2) {
+        double z_cos = 0.0;
+        double z_sin = 0.0;
+        if (!device.gaussianPair(u_skip, z_cos, z_sin))
+            continue;
+        consider(i, z_cos);
+        // An odd segment drops the last pair's sine: site i still gets
+        // the i-th draw of one gaussian() per site.
+        if (i + 1 < config_.segment_bits)
+            consider(i + 1, z_sin);
     }
 }
 

@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <vector>
+
+#include "circuit/params.h"
 #include "coldboot/destruction.h"
+#include "nist/special_functions.h"
 #include "nist/tests.h"
 #include "optim/adaptive_act.h"
 #include "pim/bitwise.h"
@@ -52,6 +58,210 @@ TEST(Trng, EnrollmentIsDeterministicPerDevice)
                 identical && a.sources()[i].index == c.sources()[i].index;
     }
     EXPECT_FALSE(identical);
+}
+
+uint64_t
+sourcesHash(const std::vector<MetastableCell> &sources)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&](uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+        h ^= h >> 32;
+    };
+    for (const auto &c : sources) {
+        mix(c.index);
+        mix(std::bit_cast<uint64_t>(c.offset));
+        mix(std::bit_cast<uint64_t>(c.p_one));
+    }
+    return h;
+}
+
+struct PinnedEnrollment
+{
+    size_t sources;
+    uint64_t hash; //!< sourcesHash() of the sources.
+};
+
+// Enrollment of seeds 1..32 as the per-site gaussian scan produced it,
+// at the default config and at 60 C. Any change to the offset stream,
+// the window test or p_one moves these.
+constexpr PinnedEnrollment kPinned30C[32] = {
+    {8, 0x7e6f430b10dfa3eeULL},
+    {3, 0x0899a539fa0db7d1ULL},
+    {4, 0x6d7e517c98642affULL},
+    {10, 0xbb1c0dfd8b6d8554ULL},
+    {6, 0x0ef89bf8b672f436ULL},
+    {3, 0xae93d97ad56d26b5ULL},
+    {8, 0xa54da28d53da02e5ULL},
+    {4, 0x642d50a279d9ab51ULL},
+    {6, 0xd1eef17ed3bee3afULL},
+    {6, 0x07971f4cdad4a450ULL},
+    {4, 0x907e14bdf02d2430ULL},
+    {3, 0x1e276fed21e252adULL},
+    {7, 0x3be36eaef5548130ULL},
+    {8, 0xc74bb6e176393ca5ULL},
+    {8, 0xad2b27e6cc89ec8dULL},
+    {11, 0x3e7b733c39d2dc61ULL},
+    {11, 0xd70b2b21a99ed396ULL},
+    {6, 0xe3f5b7aad5afe2a6ULL},
+    {9, 0x98d6c46db3112618ULL},
+    {6, 0x8eef44b576587f44ULL},
+    {6, 0xf54d19d6c974bae0ULL},
+    {6, 0x7efb539e3d071eebULL},
+    {4, 0x90b6432aff33c7a5ULL},
+    {4, 0xdb142197bf0ec723ULL},
+    {7, 0x63cea2d0d288a1e8ULL},
+    {4, 0x6e4ef728245f1c65ULL},
+    {6, 0x252872f6e73376f8ULL},
+    {3, 0x51200a4010d7cfc7ULL},
+    {1, 0x080d9759e2e6baa6ULL},
+    {2, 0xa00936bd26c9c072ULL},
+    {7, 0xb6c93bdcb21ab573ULL},
+    {8, 0x75b1cc408e78a932ULL},
+};
+constexpr PinnedEnrollment kPinned60C[32] = {
+    {58, 0x68eb0274ca12548dULL},
+    {54, 0xac42a0350b224200ULL},
+    {40, 0xe201ed76cfee9c1aULL},
+    {57, 0x03f4f6a0a59de767ULL},
+    {56, 0x1b177a567f1ea9baULL},
+    {50, 0xa139a53f7b66f401ULL},
+    {51, 0x34f3b3bdf08dd8f1ULL},
+    {51, 0x348d2afacd7f9adeULL},
+    {41, 0x824190ef593ca8a9ULL},
+    {41, 0xefc9f3896e58ac0cULL},
+    {65, 0x8443207e1dea5e84ULL},
+    {44, 0x0c271a39eeb15d04ULL},
+    {51, 0x2d659cb9d6775072ULL},
+    {46, 0x8e37a41889fe07e9ULL},
+    {52, 0xe0a9674ba7e96edaULL},
+    {59, 0x3ab13aeaa7a199dcULL},
+    {41, 0x3bb6a7ff94b8c7cdULL},
+    {44, 0x2870fc86d5ad1a45ULL},
+    {51, 0xb0669a59dd487ce3ULL},
+    {56, 0x50555ed0b8fecb2dULL},
+    {55, 0x24b6453d219d9f83ULL},
+    {46, 0x519ad8114edcf47eULL},
+    {71, 0xd105840e32670f25ULL},
+    {44, 0x0d83dc6b94b8b1dfULL},
+    {41, 0x8490106b5c7dd01bULL},
+    {51, 0x3816d2edfa367da1ULL},
+    {56, 0x0615ac7a77787629ULL},
+    {40, 0x3a7834a4833b237dULL},
+    {47, 0x918119abb7cd8b3cULL},
+    {51, 0x31a31aa23e1e7a88ULL},
+    {46, 0x35b68b5668fb673dULL},
+    {49, 0x80013547bc901314ULL},
+};
+
+TEST(Trng, EnrollmentPinnedAcrossSeeds)
+{
+    for (const double temp : {30.0, 60.0}) {
+        const auto &pinned = temp == 30.0 ? kPinned30C : kPinned60C;
+        for (uint64_t seed = 1; seed <= 32; ++seed) {
+            TrngConfig cfg;
+            cfg.run.seed = seed;
+            cfg.params.temperature_c = temp;
+            const CodicTrng trng(cfg);
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " at " << temp << " C");
+            EXPECT_EQ(trng.sources().size(), pinned[seed - 1].sources);
+            EXPECT_EQ(sourcesHash(trng.sources()), pinned[seed - 1].hash);
+        }
+    }
+}
+
+// The reference enrollment: one gaussian(0.0, sigma) per site, which
+// CodicTrng's pair-rejecting scan must reproduce bit for bit.
+std::vector<MetastableCell>
+fullScan(const TrngConfig &cfg)
+{
+    Rng device(cfg.run.seed ^ 0x7241D);
+    const double sigma = saOffsetSigma(cfg.params);
+    const double bias = designedSaBiasAt(cfg.params);
+    const double noise_rms = thermalNoiseRms(cfg.params);
+    const double window = cfg.metastable_window * noise_rms;
+    std::vector<MetastableCell> sources;
+    for (int i = 0; i < cfg.segment_bits; ++i) {
+        const double offset = device.gaussian(0.0, sigma);
+        const double residual = offset + bias;
+        if (std::fabs(residual) < window)
+            sources.push_back({static_cast<uint32_t>(i), residual,
+                               1.0 - normalCdf(-residual / noise_rms)});
+    }
+    return sources;
+}
+
+void
+expectSameSources(const TrngConfig &cfg)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << cfg.run.seed << ", "
+                 << cfg.params.temperature_c << " C, pv "
+                 << cfg.params.process_variation << ", bias "
+                 << cfg.params.designed_sa_bias << ", window "
+                 << cfg.metastable_window << ", segment "
+                 << cfg.segment_bits);
+    const auto expected = fullScan(cfg);
+    const CodicTrng trng(cfg);
+    const auto &got = trng.sources();
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].index, expected[i].index);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].offset),
+                  std::bit_cast<uint64_t>(expected[i].offset));
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].p_one),
+                  std::bit_cast<uint64_t>(expected[i].p_one));
+    }
+}
+
+TEST(Trng, ExactRejectionScanMatchesFullScan)
+{
+    for (uint64_t seed = 1; seed <= 4; ++seed)
+        for (const double temp : {-10.0, 30.0, 60.0, 125.0})
+            for (const double pv : {0.01, 0.04, 0.08})
+                for (const double window : {0.5, 1.0, 2.0}) {
+                    TrngConfig cfg;
+                    cfg.run.seed = seed;
+                    cfg.params.temperature_c = temp;
+                    cfg.params.process_variation = pv;
+                    cfg.metastable_window = window;
+                    expectSameSources(cfg);
+                }
+
+    // Windows at the bias in noise-RMS units: a hair above it
+    // (u_skip near 1), at it and past it (the no-skip path).
+    const TrngConfig base;
+    const double at_bias =
+        designedSaBiasAt(base.params) / thermalNoiseRms(base.params);
+    for (const double scale :
+         {1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.5}) {
+        TrngConfig cfg = base;
+        cfg.metastable_window = at_bias * scale;
+        expectSameSources(cfg);
+    }
+
+    // Negative and zero designed bias; no process variation.
+    for (const double bias : {-20e-3, -5e-3, 0.0}) {
+        TrngConfig cfg = base;
+        cfg.params.designed_sa_bias = bias;
+        expectSameSources(cfg);
+    }
+    TrngConfig flat = base;
+    flat.params.process_variation = 0.0;
+    expectSameSources(flat);
+    flat.metastable_window = 2.0 * at_bias;
+    expectSameSources(flat);
+
+    // Odd and tiny segments: an odd one drops its last sine draw.
+    for (const int bits : {1, 2, 3, 8191, 65536})
+        for (const double window : {1.0, 0.999 * at_bias, 2.0 * at_bias}) {
+            TrngConfig cfg = base;
+            cfg.segment_bits = bits;
+            cfg.metastable_window = window;
+            expectSameSources(cfg);
+        }
 }
 
 TEST(Trng, HarvestedBitsAreBalancedAndPassCoreTests)

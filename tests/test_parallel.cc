@@ -209,6 +209,8 @@ TEST(CampaignDeterminism, TrngEnrollmentMatchesAcrossThreads)
         for (size_t s = 0; s < seq[d].sources().size(); ++s) {
             EXPECT_EQ(seq[d].sources()[s].index,
                       par[d].sources()[s].index);
+            EXPECT_EQ(seq[d].sources()[s].offset,
+                      par[d].sources()[s].offset);
             EXPECT_EQ(seq[d].sources()[s].p_one,
                       par[d].sources()[s].p_one);
         }
