@@ -150,10 +150,8 @@ runTcg(DramChannel &channel, int64_t rows_per_bank)
     const DramConfig &cfg = channel.config();
     const int lines_per_row =
         static_cast<int>(cfg.row_bytes / cfg.burst_bytes);
-    std::vector<RefreshEngine> refresh;
-    refresh.reserve(static_cast<size_t>(cfg.ranks));
-    for (int rank = 0; rank < cfg.ranks; ++rank)
-        refresh.emplace_back(channel, rank);
+    const RefreshCadence cadence = RefreshCadence::of(cfg, false);
+    std::vector<int64_t> refs_issued(static_cast<size_t>(cfg.ranks), 0);
 
     Cycle now = 0;
     for (int64_t row = 0; row < rows_per_bank; ++row) {
@@ -173,8 +171,10 @@ runTcg(DramChannel &channel, int64_t rows_per_bank)
                 }
                 Command pre{CommandType::Pre, a, 0};
                 now = channel.issueAtEarliest(pre, t);
-                // Refresh interleaves with the overwrite loop.
-                refresh[static_cast<size_t>(rank)].catchUp(now);
+                // Refresh interleaves with the overwrite loop: every
+                // bank is closed here, and every due REF issues.
+                catchUpRefresh(channel, rank, cadence, 0, now,
+                               refs_issued[static_cast<size_t>(rank)]);
             }
         }
     }

@@ -92,7 +92,7 @@ struct RunOptions
     double zipf = -1.0;
 
     /** Enrollment-store file for fleet scenarios ("" = in-memory). */
-    std::string store_path;
+    std::string store_path{};
 
     /**
      * Serve the --store file through a read-only mapping instead of
@@ -123,7 +123,7 @@ struct RunOptions
      * from the run options (this struct lives below dram/ so it
      * carries the name only); unknown names are fatal there.
      */
-    std::string dram_preset;
+    std::string dram_preset{};
 
     /**
      * Memory-scheduler policy spec ("" = the built-in default): a
@@ -133,7 +133,7 @@ struct RunOptions
      * (this struct lives below dram/ so it carries the spec only);
      * unknown presets or knobs are fatal there.
      */
-    std::string sched;
+    std::string sched{};
 
     // --- Trace options (scenarios under src/trace) ---
 
@@ -143,14 +143,14 @@ struct RunOptions
      * record_trace - replaying a file while recording over it would
      * destroy the input mid-read.
      */
-    std::string trace_path;
+    std::string trace_path{};
 
     /**
      * Output path for the DramSystem::submit recording tap ("" =
      * recording off). See trace/recorder.h; multi-threaded runs
      * record reproducibly but not byte-stably.
      */
-    std::string record_trace;
+    std::string record_trace{};
 
     /**
      * Replay inter-arrival rescale: > 1 compresses the trace in

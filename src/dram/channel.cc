@@ -267,13 +267,13 @@ DramChannel::apply(const Command &cmd, Cycle t)
 {
 #ifndef NDEBUG
     // Ownership rule (class comment): a channel is confined to the
-    // thread that first issues on it until debugReleaseOwner().
+    // thread that first issues on it.
     if (!owner_bound_) {
         owner_bound_ = true;
         owner_ = std::this_thread::get_id();
     } else if (owner_ != std::this_thread::get_id()) {
-        panic("DramChannel used from two threads without a hand-off; "
-              "channels are owned by one DramSystem/campaign task");
+        panic("DramChannel used from two threads; channels are owned "
+              "by one DramSystem/campaign task");
     }
 #endif
     last_issue_ = std::max(last_issue_, t);

@@ -14,6 +14,8 @@ MemoryController::MemoryController(DramChannel &channel,
       codic_det_variant_(
           channel.registerVariant(variants::detZero().schedule)),
       sched_(channel.config().scheduler),
+      refresh_(RefreshCadence::of(channel.config(),
+                                  sched_.per_bank_refresh)),
       refs_issued_(static_cast<size_t>(channel.config().ranks), 0),
       bank_pending_(static_cast<size_t>(channel.config().ranks *
                                         channel.config().banks),
@@ -43,9 +45,7 @@ MemoryController::openRowFor(const Address &addr, Cycle now)
         channel_.issueAtEarliest(pre, now);
     }
     Command act{CommandType::Act, addr, 0};
-    Cycle issued = 0;
-    const Cycle ready = channel_.issueAtEarliest(act, now, &issued);
-    return ready;
+    return channel_.issueAtEarliest(act, now);
 }
 
 void
@@ -172,51 +172,26 @@ MemoryController::drainBatchAt(size_t head_idx, Cycle not_before)
 }
 
 Cycle
-MemoryController::drainOneBatch(Cycle not_before)
-{
-    CODIC_ASSERT(!pending_writes_.empty());
-    return drainBatchAt(0, not_before);
-}
-
-Cycle
-MemoryController::drainPendingTo(size_t target, Cycle not_before)
+MemoryController::drainPendingTo(size_t target, Cycle not_before,
+                                 const Address *bank)
 {
     Cycle done = 0;
-    while (pending_writes_.size() > target) {
+    while (pendingIn(bank) > target) {
         // Urgent reads jump in between batches (their forwarding
         // flush may itself shrink the pending queue, hence the
         // re-check before the next batch).
         serviceUrgentReads(not_before);
-        if (pending_writes_.size() <= target)
+        if (pendingIn(bank) <= target)
             break;
-        done = std::max(done, drainOneBatch(not_before));
-    }
-    return done;
-}
-
-Cycle
-MemoryController::drainBankTo(int rank, int bank, size_t target,
-                              Cycle not_before)
-{
-    Cycle done = 0;
-    const size_t bi = static_cast<size_t>(rank) *
-                          static_cast<size_t>(channel_.config().banks) +
-                      static_cast<size_t>(bank);
-    while (bank_pending_[bi] > target) {
-        serviceUrgentReads(not_before);
-        if (bank_pending_[bi] <= target)
-            break;
-        // Oldest pending write of the bank anchors the next batch.
-        size_t oldest = pending_writes_.size();
-        for (size_t i = 0; i < pending_writes_.size(); ++i) {
-            const Address &a = pending_writes_[i].addr;
-            if (a.rank == rank && a.bank == bank) {
-                oldest = i;
-                break;
-            }
+        // The oldest pending write (of the bank) anchors the batch.
+        size_t head = 0;
+        if (bank != nullptr) {
+            while (head < pending_writes_.size() &&
+                   (pending_writes_[head].addr.rank != bank->rank ||
+                    pending_writes_[head].addr.bank != bank->bank))
+                ++head;
         }
-        CODIC_ASSERT(oldest < pending_writes_.size());
-        done = std::max(done, drainBatchAt(oldest, not_before));
+        done = std::max(done, drainBatchAt(head, not_before));
     }
     return done;
 }
@@ -242,89 +217,9 @@ MemoryController::catchUpRefresh(int rank, Cycle t)
 {
     if (!sched_.auto_refresh)
         return;
-    if (sched_.per_bank_refresh) {
-        catchUpRefreshPerBank(rank, t);
-        return;
-    }
-    const Cycle trefi = channel_.config().timing.trefi;
-    const Cycle trfc = channel_.config().timing.trfc;
-    auto &issued = refs_issued_[static_cast<size_t>(rank)];
-    // REF k is due at cycle k * tREFI. The refresh engine is always
-    // on: a REF that can both come due and *complete* (tRFC) in the
-    // idle stretch before the work at cycle t issues on time and
-    // costs the workload nothing - this is also how deferred debt
-    // repays itself in the next quiet gap. A REF that would overlap
-    // pending work is deferrable, and only debt beyond the
-    // postponement allowance must stall work at cycle t.
-    while (t / trefi - issued > 0) {
-        const Cycle due = (issued + 1) * trefi;
-        const bool fits_idle =
-            std::max(due, channel_.lastIssueCycle()) + trfc <= t;
-        if (!fits_idle &&
-            t / trefi - issued <=
-                static_cast<int64_t>(sched_.refresh_postpone))
-            break; // Busy: defer within the JEDEC allowance.
-        // All banks of the rank must be precharged for REF.
-        for (int b = 0; b < channel_.config().banks; ++b) {
-            if (!channel_.bankActive(rank, b))
-                continue;
-            Address a;
-            a.channel = channel_.channelId();
-            a.rank = rank;
-            a.bank = b;
-            Command pre{CommandType::Pre, a, 0};
-            channel_.issueAtEarliest(pre, due);
-        }
-        Command ref;
-        ref.type = CommandType::Ref;
-        ref.addr.channel = channel_.channelId();
-        ref.addr.rank = rank;
-        channel_.issueAtEarliest(ref, due);
-        ++issued;
-    }
-}
-
-void
-MemoryController::catchUpRefreshPerBank(int rank, Cycle t)
-{
-    const int banks = channel_.config().banks;
-    const Cycle trefipb = std::max<Cycle>(
-        1, channel_.config().timing.trefi / static_cast<Cycle>(banks));
-    const Cycle trfcpb = channel_.config().timing.trfcpb;
-    auto &issued = refs_issued_[static_cast<size_t>(rank)];
-    // REFpb k is due at cycle k * tREFIpb and targets bank k % banks:
-    // the round-robin rotation still refreshes every bank once per
-    // tREFI (same retention guarantee as all-bank REF), but each
-    // command locks out only its target bank, and for the shorter
-    // tRFCpb. The fits-idle and postponement logic mirrors the
-    // all-bank engine above (JEDEC LPDDR allows postponing up to 8
-    // REFpb commands).
-    while (t / trefipb - issued > 0) {
-        const Cycle due = (issued + 1) * trefipb;
-        const bool fits_idle =
-            std::max(due, channel_.lastIssueCycle()) + trfcpb <= t;
-        if (!fits_idle &&
-            t / trefipb - issued <=
-                static_cast<int64_t>(sched_.refresh_postpone))
-            break; // Busy: defer within the allowance.
-        const int bank = static_cast<int>(
-            static_cast<uint64_t>(issued) %
-            static_cast<uint64_t>(banks));
-        Address a;
-        a.channel = channel_.channelId();
-        a.rank = rank;
-        a.bank = bank;
-        // Only the target bank needs precharging - the sibling banks
-        // keep their rows open, which is exactly the parallelism
-        // REFpb reclaims (counted by refresh_overlap_cycles).
-        if (channel_.bankActive(rank, bank)) {
-            Command pre{CommandType::Pre, a, 0};
-            channel_.issueAtEarliest(pre, due);
-        }
-        Command ref{CommandType::RefPb, a, 0};
-        channel_.issueAtEarliest(ref, due);
-        ++issued;
-    }
+    codic::catchUpRefresh(channel_, rank, refresh_,
+                          sched_.refresh_postpone, t,
+                          refs_issued_[static_cast<size_t>(rank)]);
 }
 
 uint64_t
@@ -567,7 +462,7 @@ MemoryController::acceptWrite(const Address &addr, Cycle now,
         if (write_completions_.empty()) {
             // Every slot holds an unissued write: force a drain batch
             // so a completion exists to wait for.
-            drainOneBatch(accept);
+            drainBatchAt(0, accept);
         }
         accept = std::max(accept, write_completions_.front());
         write_completions_.pop_front();
@@ -596,9 +491,8 @@ MemoryController::acceptWrite(const Address &addr, Cycle now,
     if (sched_.bank_drain_high > 0 &&
         bank_pending_[bankIndex(addr)] >=
             static_cast<uint32_t>(sched_.bank_drain_high))
-        drainBankTo(addr.rank, addr.bank,
-                    static_cast<size_t>(sched_.bank_drain_low),
-                    accept);
+        drainPendingTo(static_cast<size_t>(sched_.bank_drain_low),
+                       accept, &addr);
     return accept;
 }
 
@@ -693,7 +587,7 @@ MemoryController::completionOf(Ticket ticket)
                 serviceOneRequest(rec->accepted);
             // The write is still buffered: drain batches (oldest
             // first) until its batch issues.
-            drainOneBatch(channel_.lastIssueCycle());
+            drainBatchAt(0, channel_.lastIssueCycle());
         } else {
             serviceNextRequest();
         }

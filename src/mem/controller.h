@@ -65,6 +65,7 @@
 #include "mem/address_map.h"
 #include "mem/service.h"
 #include "dram/channel.h"
+#include "dram/refresh.h"
 
 namespace codic {
 
@@ -282,15 +283,20 @@ class MemoryController : public MemoryService
      */
     Cycle drainBatchAt(size_t head_idx, Cycle not_before);
 
-    /** drainBatchAt(0): the oldest pending write's batch. */
-    Cycle drainOneBatch(Cycle not_before);
+    /**
+     * Drain row-hit batches until at most `target` writes pend: in
+     * the whole queue (`bank` null; the oldest write anchors each
+     * batch), or in `bank`'s rank/bank (its oldest write anchors).
+     */
+    Cycle drainPendingTo(size_t target, Cycle not_before,
+                         const Address *bank = nullptr);
 
-    /** Drain row-hit batches until at most `target` writes pend. */
-    Cycle drainPendingTo(size_t target, Cycle not_before);
-
-    /** Drain one bank's pending writes down to `target`. */
-    Cycle drainBankTo(int rank, int bank, size_t target,
-                      Cycle not_before);
+    /** Pending writes in the whole queue, or in `bank`'s bank. */
+    size_t pendingIn(const Address *bank) const
+    {
+        return bank == nullptr ? pending_writes_.size()
+                               : bank_pending_[bankIndex(*bank)];
+    }
 
     /**
      * Issue every pending write to `addr`'s row (the write-forwarding
@@ -331,14 +337,11 @@ class MemoryController : public MemoryService
     Cycle issueRowOp(const MemTransaction &txn, Address addr);
 
     /**
-     * Issue REFs to `rank` until its debt at cycle `t` is within the
-     * postponement allowance (no-op unless auto_refresh). Dispatches
-     * to the per-bank cadence when refresh=per-bank.
+     * Issue `rank`'s refreshes due by cycle `t` beyond the
+     * postponement allowance (no-op unless auto_refresh), on the
+     * all-bank or per-bank cadence (dram/refresh.h).
      */
     void catchUpRefresh(int rank, Cycle t);
-
-    /** The REFpb cadence: one bank every tREFIpb, round-robin. */
-    void catchUpRefreshPerBank(int rank, Cycle t);
 
     /**
      * True if an urgent read (priority < 0) has arrived by `bound`
@@ -368,6 +371,8 @@ class MemoryController : public MemoryService
     AddressMap map_;
     int codic_det_variant_;
     SchedulerPolicy sched_;
+    /** REF or REFpb cadence of every rank (see catchUpRefresh()). */
+    RefreshCadence refresh_;
     /**
      * Accepted but not yet issued writes (FIFO acceptance order).
      * Bounded by write_queue_entries, reserved up front: insert/erase

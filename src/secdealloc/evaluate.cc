@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "dram/refresh.h"
 #include "dram/system.h"
 
 namespace codic {

@@ -516,26 +516,23 @@ TEST(Channel, MrsBlocksRankBriefly)
     EXPECT_EQ(ch.earliest(cmd(CommandType::Act)), t.tmrd);
 }
 
-// --- Refresh engine. ---
+// --- Refresh cadence. ---
 
 TEST(Refresh, CatchUpIssuesDueRefreshes)
 {
     DramChannel ch(smallConfig());
-    RefreshEngine ref(ch, 0);
+    const RefreshCadence cadence = RefreshCadence::of(ch.config(), false);
     const Cycle trefi = ch.config().timing.trefi;
-    EXPECT_EQ(ref.catchUp(trefi * 3), 3);
+    int64_t issued = 0;
+    catchUpRefresh(ch, 0, cadence, 0, trefi * 3, issued);
+    EXPECT_EQ(issued, 3);
     EXPECT_EQ(ch.counts().ref, 3u);
-    EXPECT_EQ(ref.nextDue(), trefi * 4);
-}
-
-TEST(Refresh, DutyCycleMatchesTimingRatio)
-{
-    DramChannel ch(smallConfig());
-    RefreshEngine ref(ch, 0);
-    const auto &t = ch.config().timing;
-    EXPECT_DOUBLE_EQ(ref.dutyCycle(),
-                     static_cast<double>(t.trfc) /
-                         static_cast<double>(t.trefi));
+    // The next REF is due at 4 * tREFI: nothing issues before it.
+    catchUpRefresh(ch, 0, cadence, 0, trefi * 4 - 1, issued);
+    EXPECT_EQ(issued, 3);
+    catchUpRefresh(ch, 0, cadence, 0, trefi * 4, issued);
+    EXPECT_EQ(issued, 4);
+    EXPECT_EQ(ch.counts().ref, 4u);
 }
 
 } // namespace

@@ -6,7 +6,7 @@
  * document captured from the pre-redesign blocking MemoryService -
  * at 1 AND at 8 campaign threads. This pins the whole hot path
  * (arena ticket records, SoA bank timing state, pow2 address
- * decode, channel-parallel stepping) to the published numbers: a
+ * decode) to the published numbers: a
  * refactor that moves a single byte of the eager-preset paper
  * campaigns fails here before it reaches CI's out-of-process cmp.
  */

@@ -101,8 +101,9 @@ TEST_F(PopulationFixture, CoverageAndFlipBandsMatchSection61)
 TEST_F(PopulationFixture, SegmentsScaleWithCapacity)
 {
     for (const auto &chip : *chips_) {
-        if (chip.spec().capacity_gbit == 2.0)
+        if (chip.spec().capacity_gbit == 2.0) {
             EXPECT_EQ(chip.segments(), (2ull << 30) / 8192 * 8 / 8);
+        }
         // 4 Gb chip contributes to 4 Gb x 8 / 8 KB segments.
     }
 }

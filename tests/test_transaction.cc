@@ -8,6 +8,8 @@
  */
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -622,6 +624,122 @@ TEST(Transaction, RefreshOverlapOnlyAccruesInPerBankMode)
     // REFpb refreshes one bank while siblings stay open.
     EXPECT_GT(run("serving:refresh=per-bank").refresh_overlap_cycles,
               0u);
+}
+
+// --- Refresh cadence pin (values captured before the all-bank and
+// per-bank cadences shared one implementation). ---
+
+/** Observables of one refresh run, compared field by field. */
+struct RefreshPin
+{
+    uint64_t ref;
+    uint64_t refpb;
+    uint64_t overlap;
+    uint64_t bank_hash;    //!< FNV-1a over each bank's ref/refpb/cycles.
+    Cycle last_issue;
+    uint64_t latency_hash; //!< FNV-1a over the read latencies.
+};
+
+uint64_t
+fnv1a(uint64_t h, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+RefreshPin
+runRefreshPin(const DramConfig &grade, const char *spec, bool storm)
+{
+    DramConfig c = grade;
+    c.scheduler = SchedulerPolicy::parse(spec);
+    DramSystem sys(c);
+    std::vector<Cycle> lat;
+    if (storm) {
+        runPriorityStormWorkload(sys, 30, 48, 12, &lat, &lat);
+    } else {
+        const Cycle done = runRefreshReadWorkload(
+            sys, 3, 16000, 8, 3 * c.timing.trefi, &lat);
+        sys.poll(done);
+    }
+    const CommandCounts counts = sys.totalCounts();
+    RefreshPin pin{counts.ref, counts.refpb,
+                   counts.refresh_overlap_cycles, 0xcbf29ce484222325ull,
+                   sys.lastIssueCycle(), 0xcbf29ce484222325ull};
+    for (const BankCounts &b : sys.perBankCounts()) {
+        pin.bank_hash = fnv1a(pin.bank_hash, b.ref);
+        pin.bank_hash = fnv1a(pin.bank_hash, b.refpb);
+        pin.bank_hash = fnv1a(pin.bank_hash, b.refresh_cycles);
+    }
+    for (const Cycle l : lat)
+        pin.latency_hash =
+            fnv1a(pin.latency_hash, static_cast<uint64_t>(l));
+    return pin;
+}
+
+TEST(Refresh, CadencePinnedAcrossModes)
+{
+    // Both REF cadences (all-bank at postpone 0/4/8, per-bank) on an
+    // 8-bank and a 16-bank grade, under a long read stream whose
+    // bursts outlast the postponement allowance and under the
+    // priority storm's write drains. Any change to the due set, the
+    // fits-idle test, the postponement bound or the REFpb rotation
+    // moves at least one field.
+    struct Case
+    {
+        const char *grade;
+        const char *spec;
+        bool storm;
+        RefreshPin pin;
+    };
+    const Case cases[] = {
+        {"ddr3-1600", "batched:refresh=auto,refresh_postpone=0", false,
+         {67u, 0u, 0u, 0x54bd75381d9ddbf5ull, 421432, 0x8ea7e2ff8f3296d4ull}},
+        {"ddr3-1600", "batched:refresh=auto,refresh_postpone=0", true,
+         {3u, 0u, 0u, 0x31fec4dfb03b5205ull, 21581, 0xa40ccc5df73f9cadull}},
+        {"ddr3-1600", "batched:refresh=auto,refresh_postpone=4", false,
+         {63u, 0u, 0u, 0x3c287c481d14a805ull, 421432, 0x7e5e081b50a257c4ull}},
+        {"ddr3-1600", "batched:refresh=auto,refresh_postpone=4", true,
+         {0u, 0u, 0u, 0xab0c262759a1d225ull, 21413, 0x7d5b86393f187bb8ull}},
+        {"ddr3-1600", "batched:refresh=auto,refresh_postpone=8", false,
+         {59u, 0u, 0u, 0x89ece32df70eed85ull, 421432, 0x57395e9e119eb2c4ull}},
+        {"ddr3-1600", "batched:refresh=auto,refresh_postpone=8", true,
+         {0u, 0u, 0u, 0xab0c262759a1d225ull, 21413, 0x7d5b86393f187bb8ull}},
+        {"ddr3-1600", "batched:refresh=per-bank", false,
+         {0u, 532u, 75944u, 0xf250205f13be44e5ull, 421432, 0xad2038e15e633c65ull}},
+        {"ddr3-1600", "batched:refresh=per-bank", true,
+         {0u, 26u, 8008u, 0xc45a44e9e1cb1c05ull, 21401, 0xce73ecdf82b9a0acull}},
+        {"ddr4-3200", "batched:refresh=auto,refresh_postpone=0", false,
+         {36u, 0u, 0u, 0x3e906196e7fe57a5ull, 461134, 0xa3368c74128cfe25ull}},
+        {"ddr4-3200", "batched:refresh=auto,refresh_postpone=0", true,
+         {3u, 0u, 0u, 0xa875517d2a5c5245ull, 40196, 0xf3d28245b9feff0cull}},
+        {"ddr4-3200", "batched:refresh=auto,refresh_postpone=4", false,
+         {32u, 0u, 0u, 0xb6acdcd9c3e64b25ull, 460260, 0x660cd8290e61a765ull}},
+        {"ddr4-3200", "batched:refresh=auto,refresh_postpone=4", true,
+         {0u, 0u, 0u, 0xc86ec345c0ee8125ull, 39742, 0xb6470a2d2da4c1c7ull}},
+        {"ddr4-3200", "batched:refresh=auto,refresh_postpone=8", false,
+         {28u, 0u, 0u, 0x9474bf98c8c78a25ull, 459364, 0xa1ef983a30336535ull}},
+        {"ddr4-3200", "batched:refresh=auto,refresh_postpone=8", true,
+         {0u, 0u, 0u, 0xc86ec345c0ee8125ull, 39742, 0xb6470a2d2da4c1c7ull}},
+        {"ddr4-3200", "batched:refresh=per-bank", false,
+         {0u, 581u, 278960u, 0x6fc4f794093ff9bcull, 459982, 0x770a1df547917500ull}},
+        {"ddr4-3200", "batched:refresh=per-bank", true,
+         {0u, 41u, 25872u, 0x123fe45cf47c95dbull, 40030, 0x551a55593393734full}},
+    };
+    for (const Case &k : cases) {
+        const DramConfig grade = DramConfig::preset(k.grade, 256);
+        const RefreshPin got = runRefreshPin(grade, k.spec, k.storm);
+        SCOPED_TRACE(std::string(k.grade) + " " + k.spec +
+                     (k.storm ? " storm" : " reads"));
+        EXPECT_EQ(got.ref, k.pin.ref);
+        EXPECT_EQ(got.refpb, k.pin.refpb);
+        EXPECT_EQ(got.overlap, k.pin.overlap);
+        EXPECT_EQ(got.bank_hash, k.pin.bank_hash);
+        EXPECT_EQ(got.last_issue, k.pin.last_issue);
+        EXPECT_EQ(got.latency_hash, k.pin.latency_hash);
+    }
 }
 
 } // namespace
