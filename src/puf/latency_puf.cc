@@ -38,7 +38,6 @@ DramLatencyPuf::evaluate(const SimulatedChip &chip,
         if (noise.chance(p))
             r.cells.push_back(cell.index);
     }
-    std::sort(r.cells.begin(), r.cells.end());
     return r;
 }
 
@@ -64,7 +63,6 @@ DramLatencyPuf::evaluateFiltered(const SimulatedChip &chip,
         if (failures > params_.filter_threshold)
             r.cells.push_back(cell.index);
     }
-    std::sort(r.cells.begin(), r.cells.end());
     return r;
 }
 

@@ -1,10 +1,89 @@
 #include "puf/sig_puf.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <iterator>
 
 namespace codic {
+
+namespace {
+
+/**
+ * The deterministic part of one CODIC-sig query: the segment's flip
+ * cells, the cells added at this temperature and the per-query
+ * thresholds. Every pass of the majority filter shares it; only the
+ * per-pass noise differs.
+ */
+struct SigPopulation
+{
+    std::vector<SigCell> cells;   //!< Flip cells, sorted by index.
+    std::vector<uint32_t> extras; //!< Extra cells present, sorted.
+    double dropout = 0.0;
+    double marginal = 0.0;
+};
+
+SigPopulation
+sigPopulation(const SigPufParams &params, const SimulatedChip &chip,
+              const Challenge &challenge, const QueryEnv &env)
+{
+    const double dt = std::max(0.0, env.temperature_c - 30.0);
+    SigPopulation pop;
+    pop.cells = chip.sigCells(challenge.segment_id, challenge.segment_bits);
+    pop.dropout = params.temp_dropout_at_55c * (dt / 55.0) +
+                  (env.aged ? params.aging_dropout : 0.0);
+    pop.marginal = chip.spec().ddr3l ? params.ddr3l_marginal_fraction
+                                     : params.marginal_fraction;
+    // Deterministic per-cell appearance of extra cells at temperature.
+    const double growth = params.temp_growth_at_55c * (dt / 55.0);
+    if (growth > 0.0) {
+        for (const auto &cell : chip.sigExtraCells(
+                 challenge.segment_id, challenge.segment_bits)) {
+            if (cell.temp_u < growth * 12.5)
+                pop.extras.push_back(cell.index);
+        }
+    }
+    return pop;
+}
+
+/** One query pass: add a vote to every flip cell the pass reports. */
+void
+votePass(const SigPopulation &pop, const SimulatedChip &chip,
+         uint64_t nonce, std::vector<int> &votes)
+{
+    // Per-query noise stream (thermal noise on marginal cells).
+    Rng noise = chip.domainRng(0x51F, nonce ^ 0x9e37);
+    for (size_t k = 0; k < pop.cells.size(); ++k) {
+        const SigCell &cell = pop.cells[k];
+        // Deterministic per-cell temperature dropout: the same cells
+        // disappear at the same temperature on every query.
+        if (cell.temp_u < pop.dropout)
+            continue;
+        // Marginal cells flicker with per-query noise.
+        if (cell.stability < pop.marginal && noise.chance(0.5))
+            continue;
+        ++votes[k];
+    }
+}
+
+/** The cells a strict majority of `passes` passes reported. */
+Response
+majority(const SigPopulation &pop, const std::vector<int> &votes,
+         int passes)
+{
+    std::vector<uint32_t> won;
+    for (size_t k = 0; k < pop.cells.size(); ++k)
+        if (votes[k] * 2 > passes)
+            won.push_back(pop.cells[k].index);
+    // Extra cells are reported by every pass, so they hold a majority
+    // whenever a pass ran.
+    if (passes < 1 || pop.extras.empty())
+        return Response{std::move(won)};
+    Response r;
+    std::set_union(won.begin(), won.end(), pop.extras.begin(),
+                   pop.extras.end(), std::back_inserter(r.cells));
+    return r;
+}
+
+} // namespace
 
 CodicSigPuf::CodicSigPuf(const SigPufParams &params) : params_(params)
 {
@@ -15,42 +94,10 @@ CodicSigPuf::evaluate(const SimulatedChip &chip,
                       const Challenge &challenge,
                       const QueryEnv &env) const
 {
-    const double dt = std::max(0.0, env.temperature_c - 30.0);
-    const double dropout =
-        params_.temp_dropout_at_55c * (dt / 55.0) +
-        (env.aged ? params_.aging_dropout : 0.0);
-    const double growth = params_.temp_growth_at_55c * (dt / 55.0);
-    const double marginal = chip.spec().ddr3l
-                                ? params_.ddr3l_marginal_fraction
-                                : params_.marginal_fraction;
-
-    // Per-query noise stream (thermal noise on marginal cells).
-    Rng noise = chip.domainRng(0x51F, env.nonce ^ 0x9e37);
-
-    Response r;
-    for (const auto &cell :
-         chip.sigCells(challenge.segment_id, challenge.segment_bits)) {
-        // Deterministic per-cell temperature dropout: the same cells
-        // disappear at the same temperature on every query.
-        if (cell.temp_u < dropout)
-            continue;
-        // Marginal cells flicker with per-query noise.
-        if (cell.stability < marginal && noise.chance(0.5))
-            continue;
-        r.cells.push_back(cell.index);
-    }
-    // Deterministic per-cell appearance of extra cells at temperature.
-    if (growth > 0.0) {
-        for (const auto &cell : chip.sigExtraCells(
-                 challenge.segment_id, challenge.segment_bits)) {
-            if (cell.temp_u < growth * 12.5)
-                r.cells.push_back(cell.index);
-        }
-    }
-    std::sort(r.cells.begin(), r.cells.end());
-    r.cells.erase(std::unique(r.cells.begin(), r.cells.end()),
-                  r.cells.end());
-    return r;
+    const SigPopulation pop = sigPopulation(params_, chip, challenge, env);
+    std::vector<int> votes(pop.cells.size(), 0);
+    votePass(pop, chip, env.nonce, votes);
+    return majority(pop, votes, 1);
 }
 
 Response
@@ -60,18 +107,13 @@ CodicSigPuf::evaluateFiltered(const SimulatedChip &chip,
 {
     // Conservative filter (Section 6.1.1): evaluate the challenge
     // filter_challenges times and keep cells appearing in a majority.
-    std::map<uint32_t, int> votes;
-    for (int i = 0; i < params_.filter_challenges; ++i) {
-        QueryEnv e = env;
-        e.nonce = env.nonce * 1000003ULL + static_cast<uint64_t>(i) + 1;
-        for (uint32_t c : evaluate(chip, challenge, e).cells)
-            ++votes[c];
-    }
-    Response r;
-    for (const auto &[cell, count] : votes)
-        if (count * 2 > params_.filter_challenges)
-            r.cells.push_back(cell);
-    return r;
+    const SigPopulation pop = sigPopulation(params_, chip, challenge, env);
+    std::vector<int> votes(pop.cells.size(), 0);
+    for (int i = 0; i < params_.filter_challenges; ++i)
+        votePass(pop, chip,
+                 env.nonce * 1000003ULL + static_cast<uint64_t>(i) + 1,
+                 votes);
+    return majority(pop, votes, params_.filter_challenges);
 }
 
 int

@@ -2,7 +2,8 @@
  * @file
  * Property/fuzz tests: long random-but-legal command streams through
  * the DRAM channel, random schedule classification totality, random
- * cache traffic against a reference model, end-to-end determinism
+ * cache traffic (accesses, CLFLUSHes, range invalidations) against a
+ * reference model at every simulated geometry, end-to-end determinism
  * checks, and mutation fuzzers over the enrollment-store and trace
  * formats, the --sched spec parser and whole codic_run command lines.
  * These guard the invariants DESIGN.md lists: the JEDEC checker
@@ -183,6 +184,27 @@ class ReferenceCache
         return false;
     }
 
+    bool
+    flushLine(uint64_t addr)
+    {
+        const uint64_t line_addr = addr / static_cast<uint64_t>(line_);
+        auto &entries = sets_map_[line_addr % sets_];
+        auto it = entries.find(line_addr);
+        if (it == entries.end())
+            return false;
+        const bool dirty = it->second.dirty;
+        entries.erase(it);
+        return dirty;
+    }
+
+    void
+    invalidateRange(uint64_t addr, uint64_t bytes)
+    {
+        const uint64_t line = static_cast<uint64_t>(line_);
+        for (uint64_t l = addr / line; l * line < addr + bytes; ++l)
+            flushLine(l * line);
+    }
+
   private:
     struct Entry
     {
@@ -196,13 +218,45 @@ class ReferenceCache
     std::map<uint64_t, std::map<uint64_t, Entry>> sets_map_;
 };
 
-TEST(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
+struct CacheGeometry
 {
-    Cache cache(16384, 4, 64);
-    ReferenceCache ref(16384, 4, 64);
+    uint64_t bytes;
+    int ways;
+};
+
+void
+PrintTo(const CacheGeometry &g, std::ostream *os)
+{
+    *os << (g.bytes >> 10) << " KB " << g.ways << "-way";
+}
+
+class CacheFuzz : public ::testing::TestWithParam<CacheGeometry>
+{
+};
+
+TEST_P(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
+{
+    // Accesses mixed with CLFLUSHes and range invalidations, which
+    // punch holes that later misses refill before any eviction. The
+    // address space is 4x the capacity so every set sees evictions.
+    const CacheGeometry g = GetParam();
+    Cache cache(g.bytes, g.ways, 64);
+    ReferenceCache ref(g.bytes, g.ways, 64);
     Rng rng(31);
-    for (int i = 0; i < 50000; ++i) {
-        const uint64_t addr = rng.below(1 << 20);
+    for (int i = 0; i < 200000; ++i) {
+        const uint64_t addr = rng.below(g.bytes * 4);
+        const double op = rng.uniform();
+        if (op < 0.05) {
+            ASSERT_EQ(cache.flushLine(addr), ref.flushLine(addr))
+                << "flush " << i;
+            continue;
+        }
+        if (op < 0.06) {
+            const uint64_t bytes = rng.below(4096) + 1;
+            cache.invalidateRange(addr, bytes);
+            ref.invalidateRange(addr, bytes);
+            continue;
+        }
         const bool write = rng.chance(0.3);
         uint64_t ref_victim = 0;
         bool ref_dirty = false;
@@ -216,6 +270,13 @@ TEST(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
         }
     }
 }
+
+// The geometries the simulator builds: the core's 64 KB 4-way L1 and
+// 512 KB 8-way L2 (sim/core.h), and the CacheFilter's 2 MB 16-way LLC.
+INSTANTIATE_TEST_SUITE_P(Geometries, CacheFuzz,
+                         ::testing::Values(CacheGeometry{64 << 10, 4},
+                                           CacheGeometry{512 << 10, 8},
+                                           CacheGeometry{2 << 20, 16}));
 
 TEST(ClassifyFuzz, ClassificationIsTotalAndStable)
 {

@@ -7,6 +7,10 @@
  * model.
  */
 
+#include <algorithm>
+#include <functional>
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "puf/chip_model.h"
@@ -328,6 +332,184 @@ TEST_F(PopulationFixture, LatencyFilterSelectsHighProbabilityCells)
     // The filter is selective: it keeps a strict subset scale.
     EXPECT_LT(filtered.size(), raw.size());
     EXPECT_GT(filtered.size(), 0u);
+}
+
+// --- Majority filter vs a per-pass reference. ---
+//
+// The PUFs build the cell population once per query and vote over it
+// in a flat array. The reference below is the straightforward model:
+// every pass re-derives the population, filters it, appends the
+// temperature extras and sorts; a std::map counts the votes.
+
+Response
+referenceSigEvaluate(const SigPufParams &p, const SimulatedChip &chip,
+                     const Challenge &ch, const QueryEnv &env)
+{
+    const double dt = std::max(0.0, env.temperature_c - 30.0);
+    const double dropout = p.temp_dropout_at_55c * (dt / 55.0) +
+                           (env.aged ? p.aging_dropout : 0.0);
+    const double growth = p.temp_growth_at_55c * (dt / 55.0);
+    const double marginal = chip.spec().ddr3l ? p.ddr3l_marginal_fraction
+                                              : p.marginal_fraction;
+    Rng noise = chip.domainRng(0x51F, env.nonce ^ 0x9e37);
+    Response r;
+    for (const auto &cell : chip.sigCells(ch.segment_id, ch.segment_bits)) {
+        if (cell.temp_u < dropout)
+            continue;
+        if (cell.stability < marginal && noise.chance(0.5))
+            continue;
+        r.cells.push_back(cell.index);
+    }
+    if (growth > 0.0) {
+        for (const auto &cell :
+             chip.sigExtraCells(ch.segment_id, ch.segment_bits))
+            if (cell.temp_u < growth * 12.5)
+                r.cells.push_back(cell.index);
+    }
+    std::sort(r.cells.begin(), r.cells.end());
+    r.cells.erase(std::unique(r.cells.begin(), r.cells.end()),
+                  r.cells.end());
+    return r;
+}
+
+Response
+referencePrelatEvaluate(const PrelatPufParams &p, const SimulatedChip &chip,
+                        const Challenge &ch, const QueryEnv &env)
+{
+    const double dt = std::max(0.0, env.temperature_c - 30.0);
+    const double dropout =
+        p.temp_dropout_at_55c * (dt / 55.0) + (env.aged ? 0.004 : 0.0);
+    Rng noise = chip.domainRng(0x9E1, env.nonce ^ 0x1357);
+    Response r;
+    for (const auto &col :
+         chip.prelatColumns(ch.segment_id, ch.segment_bits)) {
+        if (col.stability < dropout)
+            continue;
+        if (col.stability < p.marginal_fraction && noise.chance(0.5))
+            continue;
+        r.cells.push_back(col.index);
+    }
+    std::sort(r.cells.begin(), r.cells.end());
+    return r;
+}
+
+/** Map majority over `passes` evaluations with the PUF's pass nonces. */
+template <typename Eval>
+Response
+referenceMajority(Eval evaluate, const QueryEnv &env, int passes,
+                  uint64_t nonce_mul)
+{
+    std::map<uint32_t, int> votes;
+    for (int i = 0; i < passes; ++i) {
+        QueryEnv e = env;
+        e.nonce = env.nonce * nonce_mul + static_cast<uint64_t>(i) + 1;
+        for (uint32_t c : evaluate(e).cells)
+            ++votes[c];
+    }
+    Response r;
+    for (const auto &[cell, count] : votes)
+        if (count * 2 > passes)
+            r.cells.push_back(cell);
+    return r;
+}
+
+bool
+strictlyIncreasing(const Response &r)
+{
+    return std::adjacent_find(r.cells.begin(), r.cells.end(),
+                              std::greater_equal<uint32_t>()) ==
+           r.cells.end();
+}
+
+TEST_F(PopulationFixture, FilteredVoteMatchesMapReference)
+{
+    // Default parameters, plus a noisy variant whose marginal
+    // fractions make split votes common, so the vote count and not
+    // only the deterministic dropout decides the response.
+    SigPufParams sig_noisy;
+    sig_noisy.marginal_fraction = 0.3;
+    sig_noisy.ddr3l_marginal_fraction = 0.2;
+    PrelatPufParams prelat_noisy;
+    prelat_noisy.marginal_fraction = 0.3;
+
+    Rng rng(2718);
+    size_t extra_only = 0;  // Filtered sig cells outside sigCells().
+    size_t split = 0;       // Filtered responses != first pass.
+    for (int passes = 1; passes <= 8; ++passes) {
+        for (double temp : {30.0, 45.0, 85.0}) {
+            for (bool aged : {false, true}) {
+                for (int draw = 0; draw < 4; ++draw) {
+                    // Alternate voltage classes: DDR3 then DDR3L.
+                    const auto subset =
+                        filterByVoltage(*chips_, draw % 2 == 1);
+                    const SimulatedChip &chip =
+                        *subset[rng.below(subset.size())];
+                    const Challenge ch{rng.below(chip.segments()), 65536};
+                    const QueryEnv env{temp, aged, rng.next64()};
+                    SCOPED_TRACE(testing::Message()
+                                 << "passes " << passes << " temp " << temp
+                                 << " aged " << aged << " chip "
+                                 << chip.spec().seed << " segment "
+                                 << ch.segment_id);
+
+                    for (SigPufParams p : {SigPufParams{}, sig_noisy}) {
+                        p.filter_challenges = passes;
+                        const CodicSigPuf puf(p);
+                        const auto ref = [&](const QueryEnv &e) {
+                            return referenceSigEvaluate(p, chip, ch, e);
+                        };
+                        const Response raw = puf.evaluate(chip, ch, env);
+                        const Response got =
+                            puf.evaluateFiltered(chip, ch, env);
+                        ASSERT_EQ(raw, ref(env));
+                        ASSERT_EQ(got,
+                                  referenceMajority(ref, env, passes,
+                                                    1000003ULL));
+                        ASSERT_TRUE(strictlyIncreasing(raw));
+                        ASSERT_TRUE(strictlyIncreasing(got));
+                        const auto base =
+                            chip.sigCells(ch.segment_id, ch.segment_bits);
+                        for (uint32_t c : got.cells)
+                            extra_only += std::none_of(
+                                base.begin(), base.end(),
+                                [c](const SigCell &s) {
+                                    return s.index == c;
+                                });
+                        split += got != raw;
+                    }
+
+                    for (PrelatPufParams p :
+                         {PrelatPufParams{}, prelat_noisy}) {
+                        p.filter_challenges = passes;
+                        const PrelatPuf puf(p);
+                        const auto ref = [&](const QueryEnv &e) {
+                            return referencePrelatEvaluate(p, chip, ch, e);
+                        };
+                        const Response raw = puf.evaluate(chip, ch, env);
+                        const Response got =
+                            puf.evaluateFiltered(chip, ch, env);
+                        ASSERT_EQ(raw, ref(env));
+                        ASSERT_EQ(got,
+                                  referenceMajority(ref, env, passes,
+                                                    1000033ULL));
+                        ASSERT_TRUE(strictlyIncreasing(raw));
+                        ASSERT_TRUE(strictlyIncreasing(got));
+                        split += got != raw;
+                    }
+
+                    const DramLatencyPuf lat;
+                    ASSERT_TRUE(
+                        strictlyIncreasing(lat.evaluate(chip, ch, env)));
+                    ASSERT_TRUE(strictlyIncreasing(
+                        lat.evaluateFiltered(chip, ch, env)));
+                }
+            }
+        }
+    }
+    // Both the temperature-extra merge and the vote itself were
+    // exercised, not only the deterministic paths.
+    EXPECT_GT(extra_only, 0u);
+    EXPECT_GT(split, 0u);
 }
 
 TEST(PufPasses, PassCountsMatchMechanisms)
