@@ -142,7 +142,9 @@ class Rng
      * u1 > u1_max it returns false and leaves both untouched: then
      * |z_cos|, |z_sin| <= r < sqrt(-2 ln u1_max), and the pair costs
      * two draws and no transcendental. The stream advances the same
-     * either way.
+     * either way: u1_max = 0.0 always returns false, so it advances
+     * the stream exactly like the pair behind two gaussian() calls
+     * on an empty cache, with no transcendental at all.
      */
     bool
     gaussianPair(double u1_max, double &z_cos, double &z_sin)

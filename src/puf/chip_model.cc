@@ -30,16 +30,33 @@ populationCount(Rng &rng, double fraction, int bits)
     return static_cast<size_t>(std::llround(k));
 }
 
-/** Draw `count` distinct sorted bit positions in [0, bits). */
+/**
+ * Draw `count` distinct sorted bit positions in [0, bits).
+ *
+ * The positions are sorted by a stable LSD radix sort over byte
+ * digits, one pass per significant byte of `bits - 1` (two at 65,536
+ * bits, none at one bit). A sorted, deduplicated set does not depend
+ * on the sort that produced it, so the result is the set the draws
+ * define, whatever the algorithm.
+ */
 std::vector<uint32_t>
 drawPositions(Rng &rng, size_t count, int bits)
 {
-    std::vector<uint32_t> pos;
-    pos.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        pos.push_back(static_cast<uint32_t>(
-            rng.below(static_cast<uint64_t>(bits))));
-    std::sort(pos.begin(), pos.end());
+    std::vector<uint32_t> pos(count);
+    for (uint32_t &p : pos)
+        p = static_cast<uint32_t>(rng.below(static_cast<uint64_t>(bits)));
+    std::vector<uint32_t> scratch(count);
+    const uint64_t max_pos = static_cast<uint64_t>(bits) - 1;
+    for (unsigned shift = 0; (max_pos >> shift) != 0; shift += 8) {
+        uint32_t offset[257] = {};
+        for (uint32_t p : pos)
+            ++offset[((p >> shift) & 0xff) + 1];
+        for (int d = 0; d < 256; ++d)
+            offset[d + 1] += offset[d];
+        for (uint32_t p : pos)
+            scratch[offset[(p >> shift) & 0xff]++] = p;
+        pos.swap(scratch);
+    }
     pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
     return pos;
 }
@@ -120,17 +137,32 @@ SimulatedChip::sigExtraCells(uint64_t segment_id, int segment_bits) const
 }
 
 std::vector<LatencyWeakCell>
-SimulatedChip::latencyWeakCells(uint64_t segment_id,
-                                int segment_bits) const
+SimulatedChip::latencyWeakCells(uint64_t segment_id, int segment_bits,
+                                double dt) const
 {
     Rng rng = domainRng(kDomainLatency, segment_id);
     const size_t count =
         populationCount(rng, latency_weak_fraction_, segment_bits);
     const auto positions = drawPositions(rng, count, segment_bits);
-    std::vector<LatencyWeakCell> cells;
-    cells.reserve(positions.size());
-    for (uint32_t p : positions)
-        cells.push_back({p, rng.uniform(), rng.gaussian(0.0, 1.0)});
+    const size_t n = positions.size();
+    std::vector<LatencyWeakCell> cells(n);
+    if (n == 0)
+        return cells;
+    // Each cell draws its strength, then its drift. populationCount
+    // left the sine of its Box-Muller pair cached in `rng`: that is
+    // cell 0's drift, and fresh pairs serve cells (1, 2), (3, 4), ...
+    // At dt == 0 the drift is never used: the pairs advance the stream
+    // without the transform (u1_max 0) and every drift stays 0.
+    const bool drifts = dt != 0.0;
+    cells[0] = {positions[0], rng.uniform(), drifts ? rng.gaussian() : 0.0};
+    for (size_t k = 1; k < n; k += 2) {
+        cells[k].index = positions[k];
+        cells[k].strength = rng.uniform();
+        double z_sin = 0.0;
+        rng.gaussianPair(drifts ? 1.0 : 0.0, cells[k].temp_shift, z_sin);
+        if (k + 1 < n)
+            cells[k + 1] = {positions[k + 1], rng.uniform(), z_sin};
+    }
     return cells;
 }
 

@@ -59,13 +59,21 @@ struct SigCell
     double temp_u;        //!< U(0,1); drives temperature dropout.
 };
 
-/** Per-cell record of the tRCD-weak population. */
+/**
+ * Per-cell record of the tRCD-weak population.
+ *
+ * temp_shift only matters away from 30 C: the PUF scales it by
+ * (T - 30) / 55. A population built for dt == 0 leaves it at 0.0
+ * without transforming its draws; the stream advances the same, so
+ * every index and strength is the one a nonzero dt would give.
+ */
 struct LatencyWeakCell
 {
     uint32_t index;    //!< Bit position within the segment.
     double strength;   //!< U(0,1); compared against theta(T).
     double temp_shift; //!< N(0, 1): strength drift with temperature,
-                       //!< scaled by the PUF's temp_shift_sigma.
+                       //!< scaled by the PUF's temp_shift_sigma;
+                       //!< 0.0 when built for dt == 0.
 };
 
 /** Per-column record of the tRP-weak population. */
@@ -111,9 +119,13 @@ class SimulatedChip
     std::vector<SigCell> sigExtraCells(uint64_t segment_id,
                                        int segment_bits) const;
 
-    /** The tRCD-weak population of one segment. */
+    /**
+     * The tRCD-weak population of one segment, for a query at
+     * dt = T - 30 C (temp_shift is 0.0 when dt == 0).
+     */
     std::vector<LatencyWeakCell> latencyWeakCells(uint64_t segment_id,
-                                                  int segment_bits) const;
+                                                  int segment_bits,
+                                                  double dt) const;
 
     /** Chip-level weak columns (shared structure across segments). */
     std::vector<PrelatColumn> prelatChipColumns(int row_columns) const;

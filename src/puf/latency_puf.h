@@ -60,8 +60,22 @@ class DramLatencyPuf : public DramPuf
     double failureProbability(const LatencyWeakCell &cell,
                               double temperature_c) const;
 
+    /** Logit of failureProbability(): (theta(T) - strength) / width. */
+    double failureLogit(const LatencyWeakCell &cell,
+                        double temperature_c) const;
+
+    /**
+     * Failure logit below which the filter cannot keep a cell whose
+     * noise draw has |z| < 4: reads * p + 4 * sd rounds to at most
+     * filter_threshold. +inf when that holds at every p, -inf when
+     * reads <= 0 or filter_threshold < 0 (no cap: every pair is
+     * transformed).
+     */
+    double filterLogitCap() const { return logit_cap_; }
+
   private:
     LatencyPufParams params_;
+    double logit_cap_;  //!< See filterLogitCap().
 };
 
 } // namespace codic

@@ -129,6 +129,22 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(s.stddev(), 1.0, 0.01);
 }
 
+TEST(Rng, GaussianPairZeroCapAdvancesLikeGaussian)
+{
+    for (uint64_t seed = 0; seed < 2000; ++seed) {
+        Rng skipped(seed);
+        Rng drawn(seed);
+        double z_cos = 7.0;
+        double z_sin = 7.0;
+        EXPECT_FALSE(skipped.gaussianPair(0.0, z_cos, z_sin));
+        EXPECT_EQ(z_cos, 7.0);
+        EXPECT_EQ(z_sin, 7.0);
+        drawn.gaussian();
+        drawn.gaussian();
+        ASSERT_EQ(skipped.next64(), drawn.next64()) << "seed " << seed;
+    }
+}
+
 TEST(Rng, GaussianScaled)
 {
     Rng rng(14);

@@ -8,7 +8,10 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -177,6 +180,99 @@ TEST_F(PopulationFixture, SigPopulationSizeTracksFlipFraction)
     EXPECT_NEAR(s.mean(), expected, expected * 0.5 + 2.0);
 }
 
+// --- Chip-model draw streams, pinned bit for bit. ---
+
+/** FNV-1a over the little-endian bytes of 64-bit words. */
+struct Fnv1a
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    add(double d)
+    {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof bits);
+        add(bits);
+    }
+};
+
+TEST(ChipModel, PopulationsPinnedAcrossBits)
+{
+    // Every population generator over sizes that straddle the byte
+    // boundaries of the position sort and reach empty and one-cell
+    // populations. The hashes were captured before the position sort
+    // and the latency drift draws were restructured; any change to a
+    // drawn value, its order or the resulting set moves them.
+    const auto chips = buildPaperPopulation();
+    const int bit_sizes[] = {1,     2,     3,     255,   256,    257,
+                             4096,  65535, 65536, 65537, 1 << 20};
+    Fnv1a sig, sig_extra, prelat_chip, prelat, latency_30c, latency_45c;
+    for (size_t c = 0; c < 8; ++c) {
+        const SimulatedChip &chip = chips[c * 17];
+        for (uint64_t segment :
+             {uint64_t{0}, uint64_t{3}, uint64_t{1000},
+              chip.segments() - 1}) {
+            for (int bits : bit_sizes) {
+                const auto s = chip.sigCells(segment, bits);
+                sig.add(uint64_t{s.size()});
+                for (const auto &cell : s) {
+                    sig.add(uint64_t{cell.index});
+                    sig.add(cell.stability);
+                    sig.add(cell.temp_u);
+                }
+                const auto e = chip.sigExtraCells(segment, bits);
+                sig_extra.add(uint64_t{e.size()});
+                for (const auto &cell : e) {
+                    sig_extra.add(uint64_t{cell.index});
+                    sig_extra.add(cell.stability);
+                    sig_extra.add(cell.temp_u);
+                }
+                const auto pc = chip.prelatChipColumns(bits);
+                prelat_chip.add(uint64_t{pc.size()});
+                for (const auto &col : pc) {
+                    prelat_chip.add(uint64_t{col.index});
+                    prelat_chip.add(col.stability);
+                }
+                const auto p = chip.prelatColumns(segment, bits);
+                prelat.add(uint64_t{p.size()});
+                for (const auto &col : p) {
+                    prelat.add(uint64_t{col.index});
+                    prelat.add(col.stability);
+                }
+                const auto l30 = chip.latencyWeakCells(segment, bits, 0.0);
+                latency_30c.add(uint64_t{l30.size()});
+                for (const auto &cell : l30) {
+                    latency_30c.add(uint64_t{cell.index});
+                    latency_30c.add(cell.strength);
+                    ASSERT_EQ(cell.temp_shift, 0.0);
+                }
+                const auto l45 = chip.latencyWeakCells(segment, bits, 15.0);
+                latency_45c.add(uint64_t{l45.size()});
+                for (const auto &cell : l45) {
+                    latency_45c.add(uint64_t{cell.index});
+                    latency_45c.add(cell.strength);
+                    latency_45c.add(cell.temp_shift);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(sig.h, 0x7fabf220c657599eULL);
+    EXPECT_EQ(sig_extra.h, 0x34fa51b21c1a021fULL);
+    EXPECT_EQ(prelat_chip.h, 0x033aecfdc2a068d5ULL);
+    EXPECT_EQ(prelat.h, 0xd838c21fb886243cULL);
+    EXPECT_EQ(latency_30c.h, 0x223e16a97416ed3aULL);
+    EXPECT_EQ(latency_45c.h, 0xb95cab7ab604d42eULL);
+}
+
 // --- Jaccard metric. ---
 
 TEST(Jaccard, EdgeCases)
@@ -332,6 +428,137 @@ TEST_F(PopulationFixture, LatencyFilterSelectsHighProbabilityCells)
     // The filter is selective: it keeps a strict subset scale.
     EXPECT_LT(filtered.size(), raw.size());
     EXPECT_GT(filtered.size(), 0u);
+}
+
+// --- Latency PUF read filter vs a per-cell reference. ---
+//
+// The PUF walks its cells in Box-Muller pairs and rejects a pair of
+// below-cap cells before the transform. The reference is the direct
+// model: one exp and one sqrt per cell, gaussian(mean, sd) per cell,
+// over the fully drawn population.
+
+double
+referenceFailureProbability(const LatencyPufParams &p,
+                            const LatencyWeakCell &cell, double temp)
+{
+    const double dt = temp - 30.0;
+    const double theta = p.theta_30c + p.theta_per_c * dt;
+    const double strength =
+        cell.strength + cell.temp_shift * p.temp_shift_sigma * (dt / 55.0);
+    const double z = (theta - strength) / p.width;
+    return 1.0 / (1.0 + std::exp(-z));
+}
+
+std::vector<LatencyWeakCell>
+referenceLatencyCells(const SimulatedChip &chip, const Challenge &ch)
+{
+    // A nonzero dt draws every drift, whatever the query temperature.
+    return chip.latencyWeakCells(ch.segment_id, ch.segment_bits, 1.0);
+}
+
+Response
+referenceLatencyEvaluate(const LatencyPufParams &p, const SimulatedChip &chip,
+                         const Challenge &ch, const QueryEnv &env)
+{
+    Rng noise = chip.domainRng(0x1A7, env.nonce ^ 0x5c4d);
+    Response r;
+    for (const auto &cell : referenceLatencyCells(chip, ch))
+        if (noise.chance(
+                referenceFailureProbability(p, cell, env.temperature_c)))
+            r.cells.push_back(cell.index);
+    return r;
+}
+
+Response
+referenceLatencyFiltered(const LatencyPufParams &p,
+                         const SimulatedChip &chip, const Challenge &ch,
+                         const QueryEnv &env)
+{
+    Rng noise = chip.domainRng(0x1A7F, env.nonce ^ 0x77aa);
+    Response r;
+    for (const auto &cell : referenceLatencyCells(chip, ch)) {
+        const double prob =
+            referenceFailureProbability(p, cell, env.temperature_c);
+        const double n = static_cast<double>(p.reads);
+        const double mean = n * prob;
+        const double sd =
+            std::sqrt(std::max(n * prob * (1.0 - prob), 1e-12));
+        const int failures =
+            static_cast<int>(std::llround(noise.gaussian(mean, sd)));
+        if (failures > p.filter_threshold)
+            r.cells.push_back(cell.index);
+    }
+    return r;
+}
+
+TEST_F(PopulationFixture, LatencyPufMatchesPerCellReference)
+{
+    // The puf_ablation_filter read counts (threshold 0.9 x reads) plus
+    // the defaults, at a narrow and a wide logistic width.
+    std::vector<LatencyPufParams> grid;
+    for (double width : {0.02, 0.3}) {
+        LatencyPufParams defaults;
+        defaults.width = width;
+        grid.push_back(defaults);
+        for (int reads : {5, 10, 25, 50, 100}) {
+            LatencyPufParams p = defaults;
+            p.reads = reads;
+            p.filter_threshold = reads * 9 / 10;
+            grid.push_back(p);
+        }
+    }
+
+    Rng rng(31415);
+    size_t skipped = 0;           // Pairs rejected before the transform.
+    size_t transformed_below = 0; // Transformed pairs with a capped cell.
+    size_t kept = 0;
+    for (const LatencyPufParams &p : grid) {
+        const DramLatencyPuf puf(p);
+        ASSERT_LT(puf.filterLogitCap(),
+                  std::numeric_limits<double>::infinity());
+        for (double temp : {-10.0, 0.0, 30.0, 30.5, 45.0, 85.0, 125.0}) {
+            for (bool aged : {false, true}) {
+                for (int draw = 0; draw < 6; ++draw) {
+                    const SimulatedChip &chip =
+                        (*chips_)[rng.below(chips_->size())];
+                    const Challenge ch{rng.below(chip.segments()), 65536};
+                    const QueryEnv env{temp, aged, rng.next64()};
+                    SCOPED_TRACE(testing::Message()
+                                 << "reads " << p.reads << " width "
+                                 << p.width << " temp " << temp << " chip "
+                                 << chip.spec().seed << " segment "
+                                 << ch.segment_id);
+                    ASSERT_EQ(puf.evaluate(chip, ch, env),
+                              referenceLatencyEvaluate(p, chip, ch, env));
+                    const Response got = puf.evaluateFiltered(chip, ch, env);
+                    ASSERT_EQ(got,
+                              referenceLatencyFiltered(p, chip, ch, env));
+                    kept += got.size();
+
+                    // Classify each noise pair the way the PUF walks them.
+                    const auto cells = referenceLatencyCells(chip, ch);
+                    Rng noise = chip.domainRng(0x1A7F, env.nonce ^ 0x77aa);
+                    for (size_t k = 0; k < cells.size(); k += 2) {
+                        const double z_cos = noise.gaussian();
+                        const double z_sin = noise.gaussian();
+                        const size_t last = std::min(k + 1, cells.size() - 1);
+                        size_t below = 0;
+                        for (size_t i = k; i <= last; ++i)
+                            below += puf.failureLogit(cells[i], temp) <
+                                     puf.filterLogitCap();
+                        if (below == last - k + 1 &&
+                            std::hypot(z_cos, z_sin) < 4.0)
+                            ++skipped;
+                        else if (below > 0)
+                            ++transformed_below;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(transformed_below, 0u);
+    EXPECT_GT(kept, 0u);
 }
 
 // --- Majority filter vs a per-pass reference. ---

@@ -25,7 +25,10 @@ Its own gates are the three that compare runs:
      slowdown trips it.
 
 Scenario wall_s values (--timings) are telemetry, never gated: only
-modeled values are comparable across machines.
+modeled values are comparable across machines. The PUF layer is
+recorded the same way: puf_fig5_jaccard at --scale 0.1 contributes
+each PUF's intra_mean/inter_mean per voltage section (no GATED key,
+so never gated) plus its process wall_s under --timings.
 
 Usage:
   bench_report.py --build-dir build --out BENCH_PR10.json \
@@ -39,6 +42,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import contracts
 
@@ -49,6 +53,7 @@ HOTPATH_TOLERANCE = 0.15
 MIN_IMPROVEMENT_PCT = 20.0
 
 BENCH_SCALE = "0.25"
+PUF_SCALE = "0.1"
 FLEET_ARGS = ["--devices", "1000", "--requests", "20000"]
 
 # Committed sample trace replayed for the trajectory (relative to
@@ -237,6 +242,22 @@ def region_metrics(doc):
     })
 
 
+def puf_jaccard_metrics(doc):
+    """Intra-/Inter-Jaccard means of each PUF, keyed by voltage
+    section then PUF name, from a puf_fig5_jaccard run."""
+    out = {}
+    for scenario in doc:
+        for r in scenario["rows"]:
+            if "intra_mean" in r and "inter_mean" in r:
+                out.setdefault(r["section"], {})[r["puf"]] = {
+                    "intra_mean": r["intra_mean"],
+                    "inter_mean": r["inter_mean"],
+                }
+    if not out:
+        raise SystemExit("bench_report: no PUF Jaccard row emitted")
+    return out
+
+
 def trace_replay_metrics(doc):
     """Modeled metrics of a trace_replay run."""
     r = first(doc, lambda r: "read_p99_us" in r and "records" in r,
@@ -300,6 +321,13 @@ def collect(build_dir, timings, skip_hotpath):
         run("fleet_overload", *scaled))
     s["fleet_region_serving"] = region_metrics(
         run("fleet_region_serving", *scaled))
+    # The PUF device models run outside the DRAM system; the scenario
+    # emits no wall-clock row, so the process is timed from here.
+    start = time.perf_counter()
+    puf_doc = run("puf_fig5_jaccard", "--scale", PUF_SCALE)
+    s["puf_fig5_jaccard"] = puf_jaccard_metrics(puf_doc)
+    if timings:
+        s["puf_fig5_jaccard"]["wall_s"] = time.perf_counter() - start
 
     eager = s["fleet_scaling@8shards:eager"]["makespan_ms"]
     batched = s["fleet_scaling@8shards:batched"]["makespan_ms"]
