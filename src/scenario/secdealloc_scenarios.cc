@@ -73,10 +73,10 @@ runFig9(RunContext &ctx)
 {
     const DeallocEvalConfig cfg = evalConfig(ctx);
 
-    auto mixes = representativeMixes(paperSeed(ctx.options(), 77));
-    mixes.resize(std::min(mixes.size(),
-                          ctx.scaled(mixes.size())));
-    for (const auto &c : compareMultiCoreAll(mixes, cfg)) {
+    auto specs = representativeMixSpecs(paperSeed(ctx.options(), 77));
+    specs.resize(std::min(specs.size(),
+                          ctx.scaled(specs.size())));
+    for (const auto &c : compareMultiCoreAll(specs, cfg)) {
         ctx.row("4-core mixes: speedup and energy savings vs "
                 "software zeroing",
                 comparisonRow(c));
@@ -88,7 +88,7 @@ runFig9(RunContext &ctx)
     RunningStats sp_lisa, sp_rc, sp_codic;
     RunningStats en_lisa, en_rc, en_codic;
     for (const auto &c : compareMultiCoreAll(
-             randomMixes(random_count, paperSeed(ctx.options(), 123)),
+             randomMixSpecs(random_count, paperSeed(ctx.options(), 123)),
              cfg)) {
         sp_lisa.add(c.lisa_speedup);
         sp_rc.add(c.rowclone_speedup);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <memory>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -202,21 +204,35 @@ compareSingleCoreAll(const std::vector<std::string> &benchmarks,
 }
 
 std::vector<BenchmarkComparison>
-compareMultiCoreAll(const std::vector<WorkloadMix> &mixes,
+compareMultiCoreAll(const std::vector<MixSpec> &specs,
                     const DeallocEvalConfig &config)
 {
-    std::vector<std::array<DeallocRunResult, 4>> runs(mixes.size());
+    // One slot per mix: the first task to reach it generates the
+    // traces, the task that finishes its last mechanism frees them.
+    struct Slot
+    {
+        std::once_flag built;
+        WorkloadMix mix;
+        std::atomic<size_t> left{kModes.size()};
+    };
+    std::vector<Slot> slots(specs.size());
+    std::vector<std::array<DeallocRunResult, 4>> runs(specs.size());
     CampaignEngine engine(config.run.threads);
-    engine.forEach(mixes.size() * kModes.size(), [&](size_t t) {
+    engine.forEach(specs.size() * kModes.size(), [&](size_t t) {
         const size_t x = t / kModes.size();
         const size_t m = t % kModes.size();
-        runs[x][m] = runMultiCore(mixes[x], kModes[m], config);
+        Slot &slot = slots[x];
+        std::call_once(slot.built,
+                       [&] { slot.mix = buildMix(specs[x]); });
+        runs[x][m] = runMultiCore(slot.mix, kModes[m], config);
+        if (--slot.left == 0)
+            slot.mix = WorkloadMix();
     });
 
     std::vector<BenchmarkComparison> out;
-    out.reserve(mixes.size());
-    for (size_t x = 0; x < mixes.size(); ++x)
-        out.push_back(fromRuns(mixes[x].name, runs[x]));
+    out.reserve(specs.size());
+    for (size_t x = 0; x < specs.size(); ++x)
+        out.push_back(fromRuns(specs[x].name, runs[x]));
     return out;
 }
 

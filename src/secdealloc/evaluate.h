@@ -96,9 +96,15 @@ std::vector<BenchmarkComparison>
 compareSingleCoreAll(const std::vector<std::string> &benchmarks,
                      const DeallocEvalConfig &config = {});
 
-/** Evaluate many mixes (Fig. 9 sweep); same campaign structure. */
+/**
+ * Evaluate many mixes (Fig. 9 sweep); same campaign structure. Each
+ * mix is generated from its spec by the first of its four mechanism
+ * tasks to start and freed by the last to finish, so memory holds one
+ * mix per started, unfinished mix: exactly one at one engine thread.
+ * Results equal compareMultiCore(buildMix(spec)) at any thread count.
+ */
 std::vector<BenchmarkComparison>
-compareMultiCoreAll(const std::vector<WorkloadMix> &mixes,
+compareMultiCoreAll(const std::vector<MixSpec> &specs,
                     const DeallocEvalConfig &config = {});
 
 } // namespace codic

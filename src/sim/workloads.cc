@@ -191,50 +191,41 @@ backgroundBenchmarks()
             "bfs"};
 }
 
-namespace {
-
 WorkloadMix
-buildMix(const std::string &name, const std::vector<std::string> &benches,
-         uint64_t seed)
+buildMix(const MixSpec &spec)
 {
-    CODIC_ASSERT(benches.size() == 4);
+    CODIC_ASSERT(spec.benches.size() == 4);
     WorkloadMix mix;
-    mix.name = name;
-    for (size_t i = 0; i < benches.size(); ++i) {
+    mix.name = spec.name;
+    mix.traces.reserve(spec.benches.size());
+    for (size_t i = 0; i < spec.benches.size(); ++i) {
         mix.traces.push_back(generateWorkload(
-            benchmarkParams(benches[i], seed * 977 + i)));
+            benchmarkParams(spec.benches[i], spec.seed * 977 + i)));
     }
     return mix;
 }
 
-} // namespace
-
-std::vector<WorkloadMix>
-representativeMixes(uint64_t seed)
+std::vector<MixSpec>
+representativeMixSpecs(uint64_t seed)
 {
     // Paper Table 9.
     return {
-        buildMix("MIX1", {"malloc", "bootup", "tpcc64", "libquantum"},
-                 seed + 1),
-        buildMix("MIX2", {"shell", "bootup", "lbm", "xalancbmk"},
-                 seed + 2),
-        buildMix("MIX3", {"bootup", "shell", "pagerank", "pagerank"},
-                 seed + 3),
-        buildMix("MIX4", {"malloc", "shell", "xalancbmk", "bzip2"},
-                 seed + 4),
-        buildMix("MIX5", {"malloc", "malloc", "astar", "condmat"},
-                 seed + 5),
+        {"MIX1", {"malloc", "bootup", "tpcc64", "libquantum"}, seed + 1},
+        {"MIX2", {"shell", "bootup", "lbm", "xalancbmk"}, seed + 2},
+        {"MIX3", {"bootup", "shell", "pagerank", "pagerank"}, seed + 3},
+        {"MIX4", {"malloc", "shell", "xalancbmk", "bzip2"}, seed + 4},
+        {"MIX5", {"malloc", "malloc", "astar", "condmat"}, seed + 5},
     };
 }
 
-std::vector<WorkloadMix>
-randomMixes(size_t count, uint64_t seed)
+std::vector<MixSpec>
+randomMixSpecs(size_t count, uint64_t seed)
 {
     Rng rng(seed);
     const auto intensive = allocationIntensiveBenchmarks();
     const auto background = backgroundBenchmarks();
-    std::vector<WorkloadMix> mixes;
-    mixes.reserve(count);
+    std::vector<MixSpec> specs;
+    specs.reserve(count);
     for (size_t i = 0; i < count; ++i) {
         std::vector<std::string> picks = {
             intensive[static_cast<size_t>(rng.below(intensive.size()))],
@@ -244,10 +235,36 @@ randomMixes(size_t count, uint64_t seed)
             background[static_cast<size_t>(
                 rng.below(background.size()))],
         };
-        mixes.push_back(
-            buildMix("RMIX" + std::to_string(i), picks, seed + 100 + i));
+        specs.push_back(
+            {"RMIX" + std::to_string(i), std::move(picks), seed + 100 + i});
     }
+    return specs;
+}
+
+namespace {
+
+std::vector<WorkloadMix>
+buildMixes(const std::vector<MixSpec> &specs)
+{
+    std::vector<WorkloadMix> mixes;
+    mixes.reserve(specs.size());
+    for (const auto &spec : specs)
+        mixes.push_back(buildMix(spec));
     return mixes;
+}
+
+} // namespace
+
+std::vector<WorkloadMix>
+representativeMixes(uint64_t seed)
+{
+    return buildMixes(representativeMixSpecs(seed));
+}
+
+std::vector<WorkloadMix>
+randomMixes(size_t count, uint64_t seed)
+{
+    return buildMixes(randomMixSpecs(count, seed));
 }
 
 } // namespace codic

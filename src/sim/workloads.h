@@ -62,10 +62,36 @@ struct WorkloadMix
     std::vector<Workload> traces; //!< One per core (4 entries).
 };
 
-/** The five representative mixes of Table 9. */
+/**
+ * The recipe of a 4-core mix. A mix's traces are a pure function of
+ * its spec: core `i` runs generateWorkload(benchmarkParams(
+ * benches[i], seed * 977 + i)). A sweep can therefore hold specs and
+ * generate each mix only while it is simulated.
+ */
+struct MixSpec
+{
+    std::string name;
+    std::vector<std::string> benches; //!< One per core (4 entries).
+    uint64_t seed = 0;
+};
+
+/** Generate the traces of one mix from its spec. */
+WorkloadMix buildMix(const MixSpec &spec);
+
+/** The five representative mixes of Table 9 (seeds seed + 1..5). */
+std::vector<MixSpec> representativeMixSpecs(uint64_t seed);
+
+/**
+ * N random mixes (the paper's 50-mix average): two intensive and two
+ * background picks per mix, drawn up front from one Rng(seed); mix i
+ * is seeded seed + 100 + i.
+ */
+std::vector<MixSpec> randomMixSpecs(size_t count, uint64_t seed);
+
+/** The five representative mixes of Table 9, generated. */
 std::vector<WorkloadMix> representativeMixes(uint64_t seed);
 
-/** N random mixes (the paper's 50-mix average). */
+/** N random mixes, generated. */
 std::vector<WorkloadMix> randomMixes(size_t count, uint64_t seed);
 
 } // namespace codic

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "secdealloc/evaluate.h"
 
 namespace codic {
@@ -91,6 +94,39 @@ TEST(MultiCore, AllRepresentativeMixesImprove)
         EXPECT_GT(c.rowclone_speedup, 0.0) << mix.name;
         EXPECT_GT(c.lisa_speedup, 0.0) << mix.name;
         EXPECT_GT(c.codic_energy, 0.0) << mix.name;
+    }
+}
+
+TEST(MultiCore, CompareMultiCoreAllFromSpecsBitIdentical)
+{
+    const auto bits = [](double v) {
+        uint64_t u;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    const std::vector<MixSpec> specs = {representativeMixSpecs(9)[1],
+                                        randomMixSpecs(1, 9)[0]};
+    std::vector<BenchmarkComparison> want;
+    for (const auto &spec : specs)
+        want.push_back(compareMultiCore(buildMix(spec)));
+    for (int threads : {1, 4}) {
+        DeallocEvalConfig cfg;
+        cfg.run.threads = threads;
+        const auto all = compareMultiCoreAll(specs, cfg);
+        ASSERT_EQ(all.size(), specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const auto &one = want[i];
+            const auto &got = all[i];
+            EXPECT_EQ(got.name, one.name);
+            EXPECT_EQ(bits(got.lisa_speedup), bits(one.lisa_speedup));
+            EXPECT_EQ(bits(got.rowclone_speedup),
+                      bits(one.rowclone_speedup));
+            EXPECT_EQ(bits(got.codic_speedup), bits(one.codic_speedup));
+            EXPECT_EQ(bits(got.lisa_energy), bits(one.lisa_energy));
+            EXPECT_EQ(bits(got.rowclone_energy),
+                      bits(one.rowclone_energy));
+            EXPECT_EQ(bits(got.codic_energy), bits(one.codic_energy));
+        }
     }
 }
 

@@ -271,6 +271,78 @@ TEST(Workloads, RandomMixesPairIntensiveWithBackground)
     }
 }
 
+void
+expectSameMix(const WorkloadMix &a, const WorkloadMix &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    ASSERT_EQ(a.traces.size(), b.traces.size()) << a.name;
+    for (size_t t = 0; t < a.traces.size(); ++t) {
+        const auto &x = a.traces[t];
+        const auto &y = b.traces[t];
+        EXPECT_EQ(x.name, y.name) << a.name;
+        ASSERT_EQ(x.ops.size(), y.ops.size()) << a.name << " " << t;
+        for (size_t i = 0; i < x.ops.size(); ++i) {
+            ASSERT_EQ(x.ops[i].type, y.ops[i].type) << a.name << " " << i;
+            ASSERT_EQ(x.ops[i].addr, y.ops[i].addr) << a.name << " " << i;
+            ASSERT_EQ(x.ops[i].count, y.ops[i].count)
+                << a.name << " " << i;
+        }
+    }
+}
+
+TEST(Workloads, MixSpecsBuildTheMaterializedMixes)
+{
+    // randomMixes(50, seed) would hold all 50 mixes (about 470 MB) at
+    // once, so the 50-mix case is checked through its specs: every
+    // materialized count below is a prefix of them.
+    for (uint64_t seed : {1, 77, 123}) {
+        const auto specs = representativeMixSpecs(seed);
+        const auto mixes = representativeMixes(seed);
+        ASSERT_EQ(specs.size(), mixes.size());
+        for (size_t i = 0; i < specs.size(); ++i)
+            expectSameMix(buildMix(specs[i]), mixes[i]);
+        const auto specs50 = randomMixSpecs(50, seed);
+        ASSERT_EQ(specs50.size(), 50u);
+        for (size_t count : {0, 1, 3}) {
+            const auto rspecs = randomMixSpecs(count, seed);
+            const auto rmixes = randomMixes(count, seed);
+            ASSERT_EQ(rspecs.size(), count);
+            ASSERT_EQ(rmixes.size(), count);
+            for (size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(rspecs[i].name, specs50[i].name);
+                EXPECT_EQ(rspecs[i].benches, specs50[i].benches);
+                EXPECT_EQ(rspecs[i].seed, specs50[i].seed);
+                expectSameMix(buildMix(rspecs[i]), rmixes[i]);
+            }
+        }
+    }
+}
+
+TEST(Workloads, RandomMixPicksArePinned)
+{
+    // FNV-1a over every mix name and trace name (each followed by a
+    // 0xff separator) of the 50 paper-seed random mixes, each built
+    // from its spec. A change in the number or order of the up-front
+    // picks moves it.
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto fold = [&h](const std::string &s) {
+        for (unsigned char c : s) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+        h ^= 0xff;
+        h *= 0x100000001b3ull;
+    };
+    for (const auto &spec : randomMixSpecs(50, 123)) {
+        const WorkloadMix mix = buildMix(spec);
+        ASSERT_EQ(mix.traces.size(), 4u) << spec.name;
+        fold(mix.name);
+        for (const auto &trace : mix.traces)
+            fold(trace.name);
+    }
+    EXPECT_EQ(h, 0xadfc9cf659112071ull);
+}
+
 TEST(Workloads, TraceStatsHelpers)
 {
     Workload w{"t",

@@ -28,7 +28,10 @@ Scenario wall_s values (--timings) are telemetry, never gated: only
 modeled values are comparable across machines. The PUF layer is
 recorded the same way: puf_fig5_jaccard at --scale 0.1 contributes
 each PUF's intra_mean/inter_mean per voltage section (no GATED key,
-so never gated) plus its process wall_s under --timings.
+so never gated) plus its process wall_s under --timings. So is the
+Fig. 9 mix sweep: secdealloc_fig9 at --scale 0.05 --threads 1
+contributes its random-mix average speedups, its process peak_rss_mb
+(from wait4) and, under --timings, its process wall_s.
 
 Usage:
   bench_report.py --build-dir build --out BENCH_PR10.json \
@@ -54,6 +57,7 @@ MIN_IMPROVEMENT_PCT = 20.0
 
 BENCH_SCALE = "0.25"
 PUF_SCALE = "0.1"
+SECDEALLOC_SCALE = "0.05"
 FLEET_ARGS = ["--devices", "1000", "--requests", "20000"]
 
 # Committed sample trace replayed for the trajectory (relative to
@@ -62,8 +66,12 @@ SAMPLE_TRACE = os.path.join("bench", "traces",
                             "ablation_scheduler_seed1.trace")
 
 
-def run_codic(build_dir, args, timings):
-    """Run codic_run and return its parsed JSON document."""
+def run_codic(build_dir, args, timings, usage=None):
+    """Run codic_run and return its parsed JSON document.
+
+    When `usage` is a dict, the process's wall_s and peak_rss_mb (its
+    own ru_maxrss, from wait4) are stored into it.
+    """
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as f:
         out_path = f.name
     cmd = [os.path.join(build_dir, "codic_run"), *args,
@@ -71,7 +79,15 @@ def run_codic(build_dir, args, timings):
     if timings:
         cmd.append("--timings")
     try:
-        subprocess.run(cmd, check=True)
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd)
+        _, status, rusage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise subprocess.CalledProcessError(proc.returncode, cmd)
+        if usage is not None:
+            usage["wall_s"] = time.perf_counter() - start
+            usage["peak_rss_mb"] = rusage.ru_maxrss / 1024.0
         with open(out_path) as f:
             return json.load(f)
     finally:
@@ -258,6 +274,17 @@ def puf_jaccard_metrics(doc):
     return out
 
 
+def secdealloc_fig9_metrics(doc):
+    """Random-mix average speedups of a secdealloc_fig9 run."""
+    r = first(doc, lambda r: "mixes" in r and "codic_speedup" in r,
+              "secdealloc_fig9 random-mix average")
+    return {
+        "codic_speedup": r["codic_speedup"],
+        "lisa_speedup": r["lisa_speedup"],
+        "rowclone_speedup": r["rowclone_speedup"],
+    }
+
+
 def trace_replay_metrics(doc):
     """Modeled metrics of a trace_replay run."""
     r = first(doc, lambda r: "read_p99_us" in r and "records" in r,
@@ -280,9 +307,9 @@ def collect(build_dir, timings, skip_hotpath):
         report["hotpath"] = run_hotpath(build_dir)
     failures = []
 
-    def run(scenario, *args):
+    def run(scenario, *args, usage=None):
         doc = run_codic(build_dir, ["--scenario", scenario, *args],
-                        timings)
+                        timings, usage)
         failures.extend(f"contract {f}" for f in contracts.check(doc))
         return doc
 
@@ -323,11 +350,20 @@ def collect(build_dir, timings, skip_hotpath):
         run("fleet_region_serving", *scaled))
     # The PUF device models run outside the DRAM system; the scenario
     # emits no wall-clock row, so the process is timed from here.
-    start = time.perf_counter()
-    puf_doc = run("puf_fig5_jaccard", "--scale", PUF_SCALE)
-    s["puf_fig5_jaccard"] = puf_jaccard_metrics(puf_doc)
+    usage = {}
+    s["puf_fig5_jaccard"] = puf_jaccard_metrics(
+        run("puf_fig5_jaccard", "--scale", PUF_SCALE, usage=usage))
     if timings:
-        s["puf_fig5_jaccard"]["wall_s"] = time.perf_counter() - start
+        s["puf_fig5_jaccard"]["wall_s"] = usage["wall_s"]
+    # The Fig. 9 mix sweep generates each mix inside its campaign
+    # tasks, so its one-thread peak RSS holds one mix at any scale.
+    usage = {}
+    s["secdealloc_fig9"] = secdealloc_fig9_metrics(
+        run("secdealloc_fig9", "--scale", SECDEALLOC_SCALE,
+            "--threads", "1", usage=usage))
+    s["secdealloc_fig9"]["peak_rss_mb"] = usage["peak_rss_mb"]
+    if timings:
+        s["secdealloc_fig9"]["wall_s"] = usage["wall_s"]
 
     eager = s["fleet_scaling@8shards:eager"]["makespan_ms"]
     batched = s["fleet_scaling@8shards:batched"]["makespan_ms"]
@@ -409,8 +445,8 @@ def main():
     ap.add_argument("--timings", action="store_true",
                     help="record wall-clock telemetry in the report")
     ap.add_argument("--write-baseline", default=None,
-                    help="also write the report (minus wall "
-                         "telemetry) as a new baseline file")
+                    help="also write the report (minus wall and "
+                         "RSS telemetry) as a new baseline file")
     args = ap.parse_args()
 
     report, failures = collect(args.build_dir, args.timings,
@@ -445,6 +481,7 @@ def main():
         clean = json.loads(json.dumps(report))
         for metrics in clean["scenarios"].values():
             metrics.pop("wall_s", None)
+            metrics.pop("peak_rss_mb", None)
         # The hotpath baseline keeps only the gated throughput (the
         # raw samples are telemetry of one run, not a pin).
         clean["hotpath"] = {
