@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "sim/cache.h"
 
 namespace codic {
@@ -109,6 +110,55 @@ TEST(Cache, CountersTallyEveryAccess)
     EXPECT_EQ(c.hits() + c.misses(), 8u);
     EXPECT_EQ(c.misses(), 8u) << "8 distinct lines in a 4-way set";
     EXPECT_EQ(c.lineBytes(), static_cast<int>(kLine));
+}
+
+TEST(Cache, VictimAddressSurvivesTopOfAddressSpace)
+{
+    // The tag is packed above the valid and dirty bits; the victim
+    // address is rebuilt from it, so the top tag bits must survive.
+    Cache c = oneSetCache();
+    const uint64_t top = ~uint64_t{0} - (kLine - 1);
+    c.access(top, true);
+    for (uint64_t i = 1; i < 4; ++i)
+        c.access(top - i * kLine, false);
+    const CacheAccessResult r = c.access(0, false);
+    EXPECT_TRUE(r.writeback);
+    EXPECT_EQ(r.victim_addr, top);
+}
+
+TEST(Cache, SizeThatIsNotSetsTimesWaysTimesLinePanics)
+{
+    // 65600 B is 64 KB plus one line: not a whole number of 4-way
+    // sets, so it must not round down to 64 KB.
+    EXPECT_THROW(Cache(65600, 4), PanicError);
+    // Three 4-way sets: the set count must be a power of two.
+    EXPECT_THROW(Cache(3 * 4 * kLine, 4), PanicError);
+    // Fewer lines than ways.
+    EXPECT_THROW(Cache(2 * kLine, 4), PanicError);
+    EXPECT_THROW(Cache(1 << 20, 16, 48), PanicError) << "line not 2^n";
+    EXPECT_NO_THROW(Cache(48 << 10, 3));
+}
+
+TEST(Cache, InvalidateEmptyRangeIsANoOp)
+{
+    Cache c(1 << 20, 16);
+    c.access(0x1000, true);
+    c.invalidateRange(0x1010, 0); // Unaligned, inside the line.
+    c.invalidateRange(0x1000, 0);
+    EXPECT_TRUE(c.flushLine(0x1000)) << "line kept, still dirty";
+}
+
+TEST(Cache, InvalidateRangePastTopOfAddressSpacePanics)
+{
+    Cache c(1 << 20, 16);
+    const uint64_t top = ~uint64_t{0} - (kLine - 1);
+    c.access(top, false);
+    EXPECT_THROW(c.invalidateRange(top, 2 * kLine), PanicError);
+    EXPECT_THROW(c.invalidateRange(~uint64_t{0}, 2), PanicError);
+    // A range ending exactly at the top is fine and drops the line.
+    EXPECT_TRUE(c.access(top, false).hit);
+    c.invalidateRange(top, kLine);
+    EXPECT_FALSE(c.access(top, false).hit);
 }
 
 } // namespace

@@ -200,6 +200,8 @@ class ReferenceCache
     void
     invalidateRange(uint64_t addr, uint64_t bytes)
     {
+        if (bytes == 0)
+            return;
         const uint64_t line = static_cast<uint64_t>(line_);
         for (uint64_t l = addr / line; l * line < addr + bytes; ++l)
             flushLine(l * line);
@@ -234,17 +236,22 @@ class CacheFuzz : public ::testing::TestWithParam<CacheGeometry>
 {
 };
 
-TEST_P(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
+/**
+ * Accesses mixed with CLFLUSHes and range invalidations, which punch
+ * holes that later misses refill before any eviction. Addresses are
+ * drawn from [base, base + 4 x capacity), so every set sees
+ * evictions.
+ */
+void
+fuzzAgainstReference(const CacheGeometry &g, uint64_t base)
 {
-    // Accesses mixed with CLFLUSHes and range invalidations, which
-    // punch holes that later misses refill before any eviction. The
-    // address space is 4x the capacity so every set sees evictions.
-    const CacheGeometry g = GetParam();
     Cache cache(g.bytes, g.ways, 64);
     ReferenceCache ref(g.bytes, g.ways, 64);
     Rng rng(31);
+    uint64_t ref_hits = 0;
+    uint64_t ref_misses = 0;
     for (int i = 0; i < 200000; ++i) {
-        const uint64_t addr = rng.below(g.bytes * 4);
+        const uint64_t addr = base + rng.below(g.bytes * 4);
         const double op = rng.uniform();
         if (op < 0.05) {
             ASSERT_EQ(cache.flushLine(addr), ref.flushLine(addr))
@@ -262,6 +269,7 @@ TEST_P(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
         bool ref_dirty = false;
         const bool ref_hit =
             ref.access(addr, write, &ref_victim, &ref_dirty);
+        ++(ref_hit ? ref_hits : ref_misses);
         const auto got = cache.access(addr, write);
         ASSERT_EQ(got.hit, ref_hit) << "access " << i;
         ASSERT_EQ(got.writeback, ref_dirty) << "access " << i;
@@ -269,14 +277,34 @@ TEST_P(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
             ASSERT_EQ(got.victim_addr, ref_victim) << "access " << i;
         }
     }
+    EXPECT_EQ(cache.hits(), ref_hits);
+    EXPECT_EQ(cache.misses(), ref_misses);
+}
+
+TEST_P(CacheFuzz, MatchesReferenceModelOnRandomTraffic)
+{
+    fuzzAgainstReference(GetParam(), 0);
+}
+
+TEST_P(CacheFuzz, MatchesReferenceModelNearTopOfAddressSpace)
+{
+    // Tags with their top bits set: the packed tag word and the
+    // victim address rebuilt from it must lose nothing.
+    fuzzAgainstReference(GetParam(), 1ull << 62);
 }
 
 // The geometries the simulator builds: the core's 64 KB 4-way L1 and
-// 512 KB 8-way L2 (sim/core.h), and the CacheFilter's 2 MB 16-way LLC.
+// 512 KB 8-way L2 (sim/core.h), and the CacheFilter's 2 MB 16-way
+// LLC; plus a direct-mapped cache and two associativities that are
+// not powers of two.
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheFuzz,
                          ::testing::Values(CacheGeometry{64 << 10, 4},
                                            CacheGeometry{512 << 10, 8},
-                                           CacheGeometry{2 << 20, 16}));
+                                           CacheGeometry{2 << 20, 16},
+                                           CacheGeometry{32 << 10, 1},
+                                           CacheGeometry{48 << 10, 3},
+                                           CacheGeometry{768 << 10,
+                                                         12}));
 
 TEST(ClassifyFuzz, ClassificationIsTotalAndStable)
 {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/result_sink.h"
 #include "dram/system.h"
 #include "scenario/registry.h"
@@ -387,6 +388,67 @@ TEST(CacheFilterTest, DramLevelRecordsPassThroughUnchanged)
     // Idempotence: filtering a filtered trace changes nothing.
     CacheFilter second(oneSetFilter());
     EXPECT_EQ(second.filter(out), out);
+}
+
+TEST(CacheFilter, LlcSweepPinned)
+{
+    // trace_filter_ablation's six LLC sizes (16-way, 64 B lines) over
+    // one fixed CPU-level stream: half random lines of a 1 MB hot
+    // region, half a sequential sweep of 16 MB, one access in four a
+    // store, one record in a hundred a flush. The numbers were
+    // captured from the division-indexed cache model; any change to
+    // hit, eviction or writeback behaviour (or to the victim
+    // addresses written back) moves them.
+    Rng rng(2207);
+    std::vector<TraceRecord> raw;
+    uint64_t sweep = 0;
+    for (uint64_t i = 0; i < 200000; ++i) {
+        uint64_t addr;
+        if (rng.chance(0.5)) {
+            addr = rng.below(1ull << 20);
+        } else {
+            addr = sweep;
+            sweep = (sweep + 64) % (16ull << 20);
+        }
+        const double op = rng.uniform();
+        const TraceOpKind kind = op < 0.01   ? TraceOpKind::Flush
+                                 : op < 0.26 ? TraceOpKind::Store
+                                             : TraceOpKind::Load;
+        raw.push_back(cpuRecord(kind, addr, i));
+    }
+
+    struct Pin
+    {
+        int llc_kb;
+        uint64_t hits, misses, writebacks, records_out;
+        uint64_t write_addr_sum; //!< Sum of emitted Write addresses.
+    };
+    const Pin pins[] = {
+        {64, 4114, 193958, 49675, 243633, 92119317334},
+        {128, 8131, 189941, 49112, 239053, 90917791410},
+        {256, 15880, 182192, 48008, 230200, 88877864006},
+        {512, 30439, 167633, 45495, 213128, 84438635828},
+        {1024, 54466, 143606, 39934, 183540, 74769544311},
+        {2048, 81139, 116933, 27856, 144789, 54095802550},
+    };
+    for (const Pin &pin : pins) {
+        CacheFilterConfig config;
+        config.llc_bytes = static_cast<uint64_t>(pin.llc_kb) * 1024;
+        CacheFilter filter(config);
+        const std::vector<TraceRecord> out = filter.filter(raw);
+        const CacheFilterStats &s = filter.stats();
+        SCOPED_TRACE(pin.llc_kb);
+        EXPECT_EQ(s.hits, pin.hits);
+        EXPECT_EQ(s.misses, pin.misses);
+        EXPECT_EQ(s.writebacks, pin.writebacks);
+        EXPECT_EQ(s.records_out, pin.records_out);
+        EXPECT_EQ(out.size(), s.records_out);
+        uint64_t write_addr_sum = 0;
+        for (const TraceRecord &r : out)
+            if (r.kind == TraceOpKind::Write)
+                write_addr_sum += r.addr;
+        EXPECT_EQ(write_addr_sum, pin.write_addr_sum);
+    }
 }
 
 // --- Recorder tap -----------------------------------------------------------

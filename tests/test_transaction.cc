@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -570,6 +571,46 @@ TEST(Transaction, PerOriginCountsSumToChannelTotals)
     EXPECT_GT(origins[1].read_latency_cycles, 0u);
     EXPECT_GE(origins[1].max_read_latency,
               origins[1].read_latency_cycles / origins[1].reads);
+}
+
+TEST(Transaction, OriginCountsMatchTallyAcrossMiddleInserts)
+{
+    // Each phase brings new origins that sort before, between and
+    // after the ones already seen (5 1 9 3 1 5, then 10 2 18 6 2 10,
+    // ...), so slots are inserted in front of the one used last.
+    DramSystem sys(cfg());
+    const uint64_t pattern[] = {5, 1, 9, 3, 1, 5};
+    std::map<uint64_t, std::pair<uint64_t, uint64_t>> tally;
+    Cycle now = 0;
+    for (uint64_t i = 0; i < 240; ++i) {
+        const uint64_t origin = pattern[i % 6] * (1 + i / 60);
+        const uint64_t addr = (i * 17 % 512) * 4096 + (i % 8) * 64;
+        if (i % 3 == 0) {
+            sys.retire(sys.submit(MemTransaction::makeWrite(
+                addr + 0x100000, now, origin)));
+            ++tally[origin].second;
+        }
+        now = sys.completionOf(
+            sys.submit(MemTransaction::makeRead(addr, now, origin)));
+        ++tally[origin].first;
+    }
+    sys.drainAll();
+
+    const std::vector<OriginCounts> &slots =
+        sys.controller(0).originCounts();
+    ASSERT_EQ(slots.size(), tally.size());
+    size_t i = 0;
+    for (const auto &[origin, counts] : tally) {
+        EXPECT_EQ(slots[i].origin, origin);
+        EXPECT_EQ(slots[i].reads, counts.first) << origin;
+        EXPECT_EQ(slots[i].writes, counts.second) << origin;
+        ++i;
+    }
+    EXPECT_TRUE(std::is_sorted(
+        slots.begin(), slots.end(),
+        [](const OriginCounts &a, const OriginCounts &b) {
+            return a.origin < b.origin;
+        }));
 }
 
 TEST(Transaction, PerBankRefreshTracksTrefipbPerBank)
