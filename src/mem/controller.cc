@@ -400,9 +400,6 @@ MemoryController::serviceOneRequest(Cycle arrival_bound)
 OriginCounts &
 MemoryController::originSlot(uint64_t origin)
 {
-    if (origin_memo_ < origin_counts_.size() &&
-        origin_counts_[origin_memo_].origin == origin)
-        return origin_counts_[origin_memo_];
     auto it = std::lower_bound(
         origin_counts_.begin(), origin_counts_.end(), origin,
         [](const OriginCounts &c, uint64_t o) { return c.origin < o; });
@@ -411,7 +408,6 @@ MemoryController::originSlot(uint64_t origin)
         fresh.origin = origin;
         it = origin_counts_.insert(it, fresh);
     }
-    origin_memo_ = static_cast<size_t>(it - origin_counts_.begin());
     return *it;
 }
 

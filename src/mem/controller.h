@@ -401,13 +401,6 @@ class MemoryController : public MemoryService
      * lower_bound is a short probe over a hot vector.
      */
     std::vector<OriginCounts> origin_counts_;
-    /**
-     * Index of the slot originSlot() returned last: a core's
-     * writeback and read, or a fleet request's transactions, share an
-     * origin, so the next call usually wants it again. A hint only,
-     * checked against the slot's tag before use.
-     */
-    size_t origin_memo_ = 0;
     /** Pending (unissued) writes per bank, indexed by bankIndex(). */
     std::vector<uint32_t> bank_pending_;
     /**

@@ -577,7 +577,7 @@ TEST(Transaction, OriginCountsMatchTallyAcrossMiddleInserts)
 {
     // Each phase brings new origins that sort before, between and
     // after the ones already seen (5 1 9 3 1 5, then 10 2 18 6 2 10,
-    // ...), so slots are inserted in front of the one used last.
+    // ...), so slots are inserted in the middle of the sorted vector.
     DramSystem sys(cfg());
     const uint64_t pattern[] = {5, 1, 9, 3, 1, 5};
     std::map<uint64_t, std::pair<uint64_t, uint64_t>> tally;

@@ -3,9 +3,8 @@
  * Wall-clock microbenchmark of the simulator hot path, feeding the
  * bench_report.py throughput gate.
  *
- * Three loops. The first two are pure MemoryService API, so their
- * numbers track the controller/channel implementation and nothing
- * else; the third times the core's cache model alone:
+ * Two loops, both pure MemoryService API so the numbers track the
+ * controller/channel implementation and nothing else:
  *
  *  - closed_loop: a submit -> poll -> complete closed loop over one
  *    FR-FCFS controller (batched preset): a bounded in-flight read
@@ -18,17 +17,10 @@
  *    stamped with its local clock, harvested in ascending local-clock
  *    order, exactly the AuthService::execute slice loop.
  *
- *  - cache: the trace-driven core's 64 KB 4-way L1 and 512 KB 8-way
- *    L2 (sim/core.h) under the secdealloc_fig9 access mix - half a
- *    streaming sweep and half random lines over 48 MB, one access in
- *    four a store, L1 misses looked up in L2 and dirty L1 victims
- *    written into L2. Its "transactions" are cache accesses (L1 and
- *    L2 lookups), so txn_per_sec is accesses/s.
- *
  * Output is JSON (schema codic-hotpath-v1): per loop the transaction
  * count, the median wall seconds over --repeats runs, and the derived
- * transactions/sec. Wall-clock is machine-dependent; CI gates the
- * loops in its pinned same-runner baseline with a generous tolerance.
+ * transactions/sec. Wall-clock is machine-dependent; CI gates it with
+ * a generous tolerance against a pinned same-runner baseline.
  */
 
 #include <algorithm>
@@ -45,12 +37,9 @@
 #include "common/rng.h"
 #include "dram/system.h"
 #include "mem/transaction.h"
-#include "sim/cache.h"
 
 namespace {
 
-using codic::Cache;
-using codic::CacheAccessResult;
 using codic::Cycle;
 using codic::DramConfig;
 using codic::DramSystem;
@@ -227,45 +216,6 @@ runReplayLoop(uint64_t slices, int width, int passes)
     return executed;
 }
 
-/**
- * The core's L1/L2 pair under the secdealloc_fig9 mix: `ops` memory
- * ops, each an L1 access, then on a miss an L2 write of the dirty L1
- * victim (if any) and an L2 lookup - InOrderCore's doLoad/doStore
- * cache path without the DRAM side. Returns cache accesses made.
- */
-uint64_t
-runCacheLoop(uint64_t ops)
-{
-    Cache l1(64 << 10, 4);
-    Cache l2(512 << 10, 8);
-    const uint64_t span_lines = (48ull << 20) / 64;
-    Rng rng(0xCAC4Eull);
-    uint64_t sweep = 0;
-    uint64_t accesses = 0;
-    for (uint64_t i = 0; i < ops; ++i) {
-        uint64_t line;
-        if (rng.next64() >> 63) {
-            line = rng.below(span_lines);
-        } else {
-            line = sweep;
-            sweep = sweep + 1 == span_lines ? 0 : sweep + 1;
-        }
-        const uint64_t addr = line * 64;
-        const bool store = i % 4 == 3;
-        ++accesses;
-        const CacheAccessResult r1 = l1.access(addr, store);
-        if (r1.hit)
-            continue;
-        if (r1.writeback) {
-            l2.access(r1.victim_addr, true);
-            ++accesses;
-        }
-        l2.access(addr, store);
-        ++accesses;
-    }
-    return accesses;
-}
-
 struct LoopResult
 {
     uint64_t transactions = 0;
@@ -354,10 +304,9 @@ main(int argc, char **argv)
                 << "usage: bench_hotpath [--txns N] [--slices N]\n"
                 << "    [--width K] [--passes P] [--repeats R]\n"
                 << "    [--out FILE]\n"
-                << "Times the submit->poll->complete closed loop,\n"
-                << "the fleet ReplayCursor interleave and the core's\n"
-                << "L1/L2 cache pair; reports median-of-R\n"
-                << "transactions/sec (cache: accesses/sec) as JSON.\n";
+                << "Times the submit->poll->complete closed loop and\n"
+                << "the fleet ReplayCursor interleave; reports\n"
+                << "median-of-R transactions/sec as JSON.\n";
             return 0;
         } else {
             std::cerr << "bench_hotpath: unknown flag " << arg
@@ -375,14 +324,11 @@ main(int argc, char **argv)
         timeLoop(repeats, [&] { return runClosedLoop(txns); });
     const LoopResult replay = timeLoop(
         repeats, [&] { return runReplayLoop(slices, width, passes); });
-    const LoopResult cache =
-        timeLoop(repeats, [&] { return runCacheLoop(2000000); });
 
     std::ostringstream doc;
     doc << "{\n  \"schema\": \"codic-hotpath-v1\",\n  \"loops\": {\n";
     emitLoop(doc, "closed_loop", closed, false);
-    emitLoop(doc, "replay", replay, false);
-    emitLoop(doc, "cache", cache, true);
+    emitLoop(doc, "replay", replay, true);
     doc << "  }\n}\n";
 
     if (!out_path.empty()) {
@@ -394,8 +340,6 @@ main(int argc, char **argv)
               << static_cast<uint64_t>(closed.txnPerSec())
               << " txn/s, replay "
               << static_cast<uint64_t>(replay.txnPerSec())
-              << " txn/s, cache "
-              << static_cast<uint64_t>(cache.txnPerSec())
-              << " accesses/s (median of " << repeats << ")\n";
+              << " txn/s (median of " << repeats << ")\n";
     return 0;
 }

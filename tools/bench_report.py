@@ -22,9 +22,7 @@ Its own gates are the three that compare runs:
      median of its repeated wall_s samples) does not drop more than
      HOTPATH_TOLERANCE (15%) below the baseline's txn_per_sec. The
      baseline is pinned per runner class, so only a genuine hot-path
-     slowdown trips it. Only the loops in the baseline are gated:
-     bench_hotpath's cache loop (L1/L2 accesses/s) has no pin and is
-     recorded only.
+     slowdown trips it.
 
 Scenario wall_s values (--timings) are telemetry, never gated: only
 modeled values are comparable across machines. The PUF layer is
@@ -459,9 +457,8 @@ def main():
     print(f"bench_report: wrote {args.out}")
 
     for name, loop in sorted(report["hotpath"].items()):
-        unit = "accesses/s" if name == "cache" else "txn/s"
         print(f"bench_report: hotpath {name}: "
-              f"{loop['txn_per_sec']:,.0f} {unit} "
+              f"{loop['txn_per_sec']:,.0f} txn/s "
               f"(median of {len(loop['wall_s'])})")
     for name, value in sorted(report["derived"].items()):
         print(f"bench_report: {name}: {value:.1f}")

@@ -1,7 +1,6 @@
 """Tests of the PUF and secure-deallocation telemetry extractors in
-tools/bench_report.py over small synthetic scenario documents, of the
-wait4 usage record of its codic_run launcher, and of its reading and
-gating of a three-loop bench_hotpath document.
+tools/bench_report.py over small synthetic scenario documents, and of
+the wait4 usage record of its codic_run launcher.
 
     python3 -m unittest discover -s tools/tests -v
 """
@@ -145,54 +144,6 @@ sys.exit({exit_code})
             with self.assertRaises(subprocess.CalledProcessError):
                 bench_report.run_codic(self.fake_build_dir(tmp, 3),
                                        ["--scenario", "x"], False, {})
-
-
-class HotpathTest(unittest.TestCase):
-    LOOPS = {
-        "closed_loop": {"transactions": 400, "median_wall_s": 0.0,
-                        "txn_per_sec": 0.0, "wall_s": [0.3, 0.1, 0.2]},
-        "replay": {"transactions": 900, "median_wall_s": 0.0,
-                   "txn_per_sec": 0.0, "wall_s": [0.1, 0.1, 0.1]},
-        "cache": {"transactions": 5000, "median_wall_s": 0.0,
-                  "txn_per_sec": 0.0, "wall_s": [1.0, 2.0, 4.0]},
-    }
-
-    def run_fake_hotpath(self):
-        """A bench_hotpath stand-in writing a three-loop document."""
-        doc = {"schema": "codic-hotpath-v1", "loops": self.LOOPS}
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "bench_hotpath")
-            with open(path, "w") as f:
-                f.write(f"""#!{sys.executable}
-import json, sys
-with open(sys.argv[sys.argv.index("--out") + 1], "w") as f:
-    json.dump({doc!r}, f)
-""")
-            os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
-            return bench_report.run_hotpath(tmp)
-
-    def test_every_loop_is_recorded_from_its_median(self):
-        hotpath = self.run_fake_hotpath()
-        self.assertEqual(sorted(hotpath), ["cache", "closed_loop",
-                                           "replay"])
-        self.assertEqual(hotpath["closed_loop"]["median_wall_s"], 0.2)
-        self.assertAlmostEqual(hotpath["closed_loop"]["txn_per_sec"],
-                               2000.0)
-        self.assertAlmostEqual(hotpath["cache"]["txn_per_sec"], 2500.0)
-
-    def test_only_baseline_loops_are_gated(self):
-        report = {"hotpath": self.run_fake_hotpath()}
-        # The baseline pins the two controller loops only, so the
-        # cache loop passes at any speed.
-        baseline = {"hotpath": {
-            "closed_loop": {"txn_per_sec": 2000.0},
-            "replay": {"txn_per_sec": 9000.0}}}
-        self.assertEqual(bench_report.check_hotpath(report, baseline),
-                         [])
-        baseline["hotpath"]["closed_loop"]["txn_per_sec"] = 4000.0
-        failures = bench_report.check_hotpath(report, baseline)
-        self.assertEqual(len(failures), 1)
-        self.assertIn("hotpath.closed_loop", failures[0])
 
 
 if __name__ == "__main__":
