@@ -60,19 +60,6 @@ class CampaignEngine
      */
     void forEach(size_t n, const std::function<void(size_t)> &fn);
 
-    /**
-     * Indexed map: out[i] = fn(i). Result order is index order, so
-     * output is independent of scheduling.
-     */
-    template <typename T, typename Fn>
-    std::vector<T>
-    map(size_t n, Fn &&fn)
-    {
-        std::vector<T> out(n);
-        forEach(n, [&](size_t i) { out[i] = fn(i); });
-        return out;
-    }
-
   private:
     struct Impl;
 

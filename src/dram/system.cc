@@ -194,31 +194,6 @@ DramSystem::totalCounts() const
     return total;
 }
 
-std::vector<OriginCounts>
-DramSystem::perOriginCounts() const
-{
-    // Merge the per-channel sorted vectors by origin tag. Iterating
-    // channels in index order and inserting sorted keeps the result
-    // independent of how submissions interleaved across channels.
-    std::vector<OriginCounts> out;
-    for (const auto &ctl : controllers_) {
-        for (const OriginCounts &oc : ctl->originCounts()) {
-            auto it = std::lower_bound(
-                out.begin(), out.end(), oc.origin,
-                [](const OriginCounts &c, uint64_t o) {
-                    return c.origin < o;
-                });
-            if (it == out.end() || it->origin != oc.origin) {
-                OriginCounts fresh;
-                fresh.origin = oc.origin;
-                it = out.insert(it, fresh);
-            }
-            *it += oc;
-        }
-    }
-    return out;
-}
-
 Cycle
 DramSystem::lastIssueCycle() const
 {

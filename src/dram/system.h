@@ -112,13 +112,6 @@ class DramSystem : public MemoryService
     /** Aggregate counters across all channels. */
     CommandCounts totalCounts() const;
 
-    /**
-     * Per-origin roll-ups merged across every channel's controller,
-     * sorted by origin tag (deterministic at any channel count and
-     * submission interleaving). See OriginCounts.
-     */
-    std::vector<OriginCounts> perOriginCounts() const;
-
     /** Largest issue cycle across all channels (campaign end time). */
     Cycle lastIssueCycle() const;
 

@@ -382,33 +382,8 @@ MemoryController::serviceOneRequest(Cycle arrival_bound)
     const Cycle done = req.txn.kind == TxnKind::Read
                            ? issueRead(req.txn, req.addr)
                            : issueRowOp(req.txn, req.addr);
-    OriginCounts &oc = originSlot(req.txn.origin);
-    if (req.txn.kind == TxnKind::Read) {
-        ++oc.reads;
-        const Cycle latency = done - req.txn.arrival;
-        oc.read_latency_cycles += static_cast<uint64_t>(latency);
-        oc.max_read_latency = std::max(oc.max_read_latency, latency);
-    } else {
-        ++oc.rowops;
-        oc.rowop_latency_cycles +=
-            static_cast<uint64_t>(done - req.txn.arrival);
-    }
     markCompleted(req.ticket, done);
     return done;
-}
-
-OriginCounts &
-MemoryController::originSlot(uint64_t origin)
-{
-    auto it = std::lower_bound(
-        origin_counts_.begin(), origin_counts_.end(), origin,
-        [](const OriginCounts &c, uint64_t o) { return c.origin < o; });
-    if (it == origin_counts_.end() || it->origin != origin) {
-        OriginCounts fresh;
-        fresh.origin = origin;
-        it = origin_counts_.insert(it, fresh);
-    }
-    return *it;
 }
 
 bool
@@ -548,7 +523,6 @@ MemoryController::submit(const MemTransaction &txn,
         // have moved; re-find rather than caching across the call
         // anyway (the arena may compact in the future).
         records_.find(ticket)->accepted = accepted;
-        ++originSlot(txn.origin).writes;
         break;
       }
     }

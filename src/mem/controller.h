@@ -56,7 +56,6 @@
 #ifndef CODIC_MEM_CONTROLLER_H
 #define CODIC_MEM_CONTROLLER_H
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -75,45 +74,6 @@ struct ControllerConfig
     int read_queue_entries = 64;
     int write_queue_entries = 64;
     MapScheme map_scheme = MapScheme::RowBankColumn;
-};
-
-/**
- * Per-origin command and latency roll-up (QoS accounting). DRAM bus
- * commands carry no origin, so the controller - which still holds
- * the submitting MemTransaction - maintains these next to the
- * channel's CommandCounts; DramSystem::perOriginCounts() merges them
- * across channels so every scenario can break out e.g. auth-critical
- * traffic from background streams through its ResultSink rows.
- */
-struct OriginCounts
-{
-    uint64_t origin = 0; //!< MemTransaction::origin tag.
-
-    uint64_t reads = 0;  //!< Reads serviced for this origin.
-    uint64_t writes = 0; //!< Writes accepted for this origin.
-    uint64_t rowops = 0; //!< Row ops serviced for this origin.
-
-    /** Sum over serviced reads of (completion - arrival) cycles. */
-    uint64_t read_latency_cycles = 0;
-
-    /** Sum over serviced row ops of (completion - arrival) cycles. */
-    uint64_t rowop_latency_cycles = 0;
-
-    /** Largest single read latency seen (cycles). */
-    Cycle max_read_latency = 0;
-
-    /** Merge another origin's roll-up (same origin tag expected). */
-    OriginCounts &operator+=(const OriginCounts &other)
-    {
-        reads += other.reads;
-        writes += other.writes;
-        rowops += other.rowops;
-        read_latency_cycles += other.read_latency_cycles;
-        rowop_latency_cycles += other.rowop_latency_cycles;
-        max_read_latency =
-            std::max(max_read_latency, other.max_read_latency);
-        return *this;
-    }
 };
 
 /**
@@ -197,16 +157,6 @@ class MemoryController : public MemoryService
      * rank REFs in all-bank mode, REFpb commands in per-bank mode.
      */
     uint64_t refreshesIssued() const;
-
-    /**
-     * Per-origin roll-ups, sorted by origin tag (deterministic
-     * iteration regardless of submission interleaving). Reads and
-     * row ops are accounted when serviced, writes when accepted.
-     */
-    const std::vector<OriginCounts> &originCounts() const
-    {
-        return origin_counts_;
-    }
 
     /**
      * Tickets with live bookkeeping (submitted, neither resolved nor
@@ -357,9 +307,6 @@ class MemoryController : public MemoryService
      */
     void serviceUrgentReads(Cycle not_before);
 
-    /** Roll-up slot for `origin`, inserted sorted on first use. */
-    OriginCounts &originSlot(uint64_t origin);
-
     /** Record a ticket's completion if it is still tracked. */
     void markCompleted(Ticket ticket, Cycle completion);
 
@@ -395,12 +342,6 @@ class MemoryController : public MemoryService
     SlotArena<TxnRecord> records_;
     /** Refresh commands injected per rank (REF or REFpb cadence). */
     std::vector<int64_t> refs_issued_;
-    /**
-     * Per-origin roll-ups, kept sorted by origin tag. Origins are
-     * few (a handful of traffic classes), so the per-transaction
-     * lower_bound is a short probe over a hot vector.
-     */
-    std::vector<OriginCounts> origin_counts_;
     /** Pending (unissued) writes per bank, indexed by bankIndex(). */
     std::vector<uint32_t> bank_pending_;
     /**

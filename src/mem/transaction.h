@@ -68,8 +68,8 @@ struct MemTransaction
 
     /**
      * Origin tag: who issued the request (core region base, fleet
-     * device id, ...). Never interpreted by the scheduler; part of
-     * the submission contract for future per-origin policies.
+     * device id, ...). Carried into recorded traces; the memory
+     * layer never interprets it.
      */
     uint64_t origin = 0;
 

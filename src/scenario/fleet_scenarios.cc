@@ -673,7 +673,8 @@ runFleetRegionServing(RunContext &ctx)
  * read sweeps against one authenticate-class urgent read per wave
  * (the same priority tag AuthService stamps). This half exposes the
  * write-drain jumping path the fleet replay cannot reach (footprint
- * replays carry no writes) and the per-origin roll-ups.
+ * replays carry no writes), and tallies the storm's reads and writes
+ * per origin from the latencies it times itself.
  *
  * The priority-blind baseline is the batched preset with the serving
  * preset's refresh settings matched (refresh=auto, postpone 4), so
@@ -732,6 +733,7 @@ runAblationQos(RunContext &ctx)
 
     // --- Half 2: controller-level mixed-priority storm. -----------
     const int64_t waves = static_cast<int64_t>(ctx.scaled(300));
+    const int background_writes = 48;
     double storm_p99_blind_us = 0.0;
     double storm_p99_serving_us = 0.0;
     for (const Variant &v : variants) {
@@ -742,7 +744,7 @@ runAblationQos(RunContext &ctx)
         DramSystem sys(cfg);
         std::vector<Cycle> urgent_lat;
         std::vector<Cycle> bg_lat;
-        runPriorityStormWorkload(sys, waves, /*background_writes=*/48,
+        runPriorityStormWorkload(sys, waves, background_writes,
                                  /*background_reads=*/12, &urgent_lat,
                                  &bg_lat);
 
@@ -777,29 +779,36 @@ runAblationQos(RunContext &ctx)
                              counts.refresh_overlap_cycles) /
                              1e3));
 
-        // Per-origin roll-ups straight off the DramSystem: origin 1
-        // is the authenticate-class urgent stream, origin 0 the
-        // background storm.
-        for (const OriginCounts &oc : sys.perOriginCounts()) {
+        // Per-origin accounting from the storm's own tallies: origin
+        // 0 is the background storm (its reads and every write),
+        // origin 1 the authenticate-class urgent stream.
+        const auto originRow = [&](uint64_t origin,
+                                   const std::vector<Cycle> &lat,
+                                   uint64_t writes) {
+            uint64_t sum = 0;
+            Cycle max = 0;
+            for (const Cycle c : lat) {
+                sum += static_cast<uint64_t>(c);
+                max = std::max(max, c);
+            }
+            const uint64_t reads = lat.size();
             ctx.row("per-origin accounting",
                     ResultRow()
                         .add("sched", v.name)
-                        .add("origin", oc.origin)
-                        .add("reads", oc.reads)
-                        .add("writes", oc.writes)
-                        .add("rowops", oc.rowops)
+                        .add("origin", origin)
+                        .add("reads", reads)
+                        .add("writes", writes)
+                        .add("rowops", uint64_t{0})
                         .add("read_mean_us",
-                             oc.reads
-                                 ? cfg.cyclesToNs(
-                                       static_cast<Cycle>(
-                                           oc.read_latency_cycles /
-                                           oc.reads)) /
-                                       1e3
-                                 : 0.0)
-                        .add("read_max_us",
-                             cfg.cyclesToNs(oc.max_read_latency) /
-                                 1e3));
-        }
+                             reads ? cfg.cyclesToNs(static_cast<Cycle>(
+                                         sum / reads)) /
+                                         1e3
+                                   : 0.0)
+                        .add("read_max_us", cfg.cyclesToNs(max) / 1e3));
+        };
+        originRow(0, bg_lat,
+                  static_cast<uint64_t>(waves * background_writes));
+        originRow(1, urgent_lat, 0);
     }
 
     const auto improvement = [](double blind, double with) {

@@ -36,16 +36,6 @@ TEST_P(EngineThreadsTest, ForEachRunsEveryIndexExactlyOnce)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST_P(EngineThreadsTest, MapKeepsIndexOrder)
-{
-    CampaignEngine engine(GetParam());
-    const auto out = engine.map<size_t>(
-        257, [](size_t i) { return i * i; });
-    ASSERT_EQ(out.size(), 257u);
-    for (size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], i * i);
-}
-
 TEST_P(EngineThreadsTest, EngineIsReusableAcrossCampaigns)
 {
     CampaignEngine engine(GetParam());

@@ -1,15 +1,20 @@
 /**
  * @file
  * Tests of the unified Scenario API: registry integrity, clean
- * unknown-name failure, structured-sink behavior, and the
- * determinism golden test - every registered scenario's JSON output
- * is byte-identical for a fixed seed at 1 vs 8 campaign threads.
+ * unknown-name failure, structured-sink behavior, scenario rows
+ * pinned to captured values, and the determinism golden test -
+ * every registered scenario's JSON output is byte-identical for a
+ * fixed seed at 1 vs 8 campaign threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/result_sink.h"
 #include "scenario/registry.h"
@@ -123,6 +128,88 @@ TEST(ResultSinks, CsvEmitsLongFormatRows)
               std::string::npos);
     EXPECT_NE(out.str().find("scn,1,sec,0,k,\"v, with comma\""),
               std::string::npos);
+}
+
+// --- Pinned scenario rows. ---
+
+/** Keeps the rows of one section, dropping everything else. */
+class SectionRows : public ResultSink
+{
+  public:
+    explicit SectionRows(std::string section)
+        : section_(std::move(section))
+    {
+    }
+
+    void beginScenario(const std::string &, const std::string &,
+                       const RunOptions &) override
+    {
+    }
+    void row(const std::string &section, const ResultRow &r) override
+    {
+        if (section == section_)
+            rows.push_back(r);
+    }
+    void note(const std::string &) override {}
+    void endScenario() override {}
+
+    std::vector<ResultRow> rows;
+
+  private:
+    std::string section_;
+};
+
+/** The value of `key` in `row` (a failed assertion when absent). */
+const ResultValue &
+cell(const ResultRow &row, const std::string &key)
+{
+    for (const auto &[k, v] : row.values())
+        if (k == key)
+            return v;
+    ADD_FAILURE() << "no key " << key;
+    static const ResultValue missing;
+    return missing;
+}
+
+TEST(ScenarioPins, AblationQosPerOriginRows)
+{
+    // ablation_qos's per-origin rows at scale 0.1 (30 storm waves),
+    // captured from the controller-side per-origin roll-up the
+    // scenario once read: background origin 0 then urgent origin 1
+    // for each scheduler variant.
+    struct Pin
+    {
+        const char *sched;
+        uint64_t origin, reads, writes, rowops;
+        double read_mean_us, read_max_us;
+    };
+    const Pin pins[] = {
+        {"batched_blind", 0, 360, 1440, 0, 0.53875, 0.595},
+        {"batched_blind", 1, 30, 0, 0, 0.62375, 0.625},
+        {"serving", 0, 360, 1440, 0, 1.30125, 1.42375},
+        {"serving", 1, 30, 0, 0, 0.05, 0.11625},
+        {"serving_refpb", 0, 360, 1440, 0, 1.29375, 1.35375},
+        {"serving_refpb", 1, 30, 0, 0, 0.0425, 0.04625},
+    };
+    RunOptions options;
+    options.scale = 0.1;
+    options.threads = 1;
+    SectionRows sink("per-origin accounting");
+    ASSERT_TRUE(runScenario("ablation_qos", options, sink));
+    ASSERT_EQ(sink.rows.size(), std::size(pins));
+    for (size_t i = 0; i < std::size(pins); ++i) {
+        const Pin &pin = pins[i];
+        const ResultRow &row = sink.rows[i];
+        SCOPED_TRACE(std::string(pin.sched) + " origin " +
+                     std::to_string(pin.origin));
+        EXPECT_EQ(cell(row, "sched").s, pin.sched);
+        EXPECT_EQ(cell(row, "origin").u, pin.origin);
+        EXPECT_EQ(cell(row, "reads").u, pin.reads);
+        EXPECT_EQ(cell(row, "writes").u, pin.writes);
+        EXPECT_EQ(cell(row, "rowops").u, pin.rowops);
+        EXPECT_DOUBLE_EQ(cell(row, "read_mean_us").d, pin.read_mean_us);
+        EXPECT_DOUBLE_EQ(cell(row, "read_max_us").d, pin.read_max_us);
+    }
 }
 
 // --- Determinism golden test. ---

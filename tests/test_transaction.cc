@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -431,7 +430,7 @@ TEST(Transaction, SchedSpecParsesPresetAndKnobOverrides)
         EXPECT_NE(help.find(knob), std::string::npos) << knob;
 }
 
-// --- QoS: priority scheduling, per-origin accounting, REFpb. ---
+// --- QoS: priority scheduling, REFpb. ---
 
 TEST(Transaction, ServingPresetAndQosSpecParsing)
 {
@@ -539,7 +538,7 @@ TEST(Transaction, AgingPromotionBoundsBestEffortStarvation)
     EXPECT_EQ(bypassed, MemoryController::kReadStarvationLimit);
 }
 
-TEST(Transaction, PerOriginCountsSumToChannelTotals)
+TEST(Transaction, PriorityStormTalliesMatchChannelTotals)
 {
     DramConfig c = cfg();
     c.scheduler = SchedulerPolicy::preset("serving");
@@ -547,70 +546,16 @@ TEST(Transaction, PerOriginCountsSumToChannelTotals)
     std::vector<Cycle> urgent;
     runPriorityStormWorkload(sys, 20, 48, 12, &urgent, nullptr);
     const CommandCounts counts = sys.totalCounts();
-    const std::vector<OriginCounts> origins = sys.perOriginCounts();
-    ASSERT_EQ(origins.size(), 2u); // Background 0, urgent 1.
-    EXPECT_EQ(origins[0].origin, 0u);
-    EXPECT_EQ(origins[1].origin, 1u);
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-    uint64_t rowops = 0;
-    for (const OriginCounts &oc : origins) {
-        reads += oc.reads;
-        writes += oc.writes;
-        rowops += oc.rowops;
-    }
     // Every read issues exactly one RD burst and every write one WR
-    // burst (all drained by the workload), so the origin roll-ups
-    // must sum to the channel command totals.
-    EXPECT_EQ(reads, counts.rd);
-    EXPECT_EQ(writes, counts.wr);
-    EXPECT_EQ(rowops, 0u);
-    EXPECT_EQ(reads, 20u * 13u);  // 12 background + 1 urgent / wave.
-    EXPECT_EQ(writes, 20u * 48u);
-    EXPECT_EQ(origins[1].reads, 20u);
-    EXPECT_GT(origins[1].read_latency_cycles, 0u);
-    EXPECT_GE(origins[1].max_read_latency,
-              origins[1].read_latency_cycles / origins[1].reads);
-}
-
-TEST(Transaction, OriginCountsMatchTallyAcrossMiddleInserts)
-{
-    // Each phase brings new origins that sort before, between and
-    // after the ones already seen (5 1 9 3 1 5, then 10 2 18 6 2 10,
-    // ...), so slots are inserted in the middle of the sorted vector.
-    DramSystem sys(cfg());
-    const uint64_t pattern[] = {5, 1, 9, 3, 1, 5};
-    std::map<uint64_t, std::pair<uint64_t, uint64_t>> tally;
-    Cycle now = 0;
-    for (uint64_t i = 0; i < 240; ++i) {
-        const uint64_t origin = pattern[i % 6] * (1 + i / 60);
-        const uint64_t addr = (i * 17 % 512) * 4096 + (i % 8) * 64;
-        if (i % 3 == 0) {
-            sys.retire(sys.submit(MemTransaction::makeWrite(
-                addr + 0x100000, now, origin)));
-            ++tally[origin].second;
-        }
-        now = sys.completionOf(
-            sys.submit(MemTransaction::makeRead(addr, now, origin)));
-        ++tally[origin].first;
-    }
-    sys.drainAll();
-
-    const std::vector<OriginCounts> &slots =
-        sys.controller(0).originCounts();
-    ASSERT_EQ(slots.size(), tally.size());
-    size_t i = 0;
-    for (const auto &[origin, counts] : tally) {
-        EXPECT_EQ(slots[i].origin, origin);
-        EXPECT_EQ(slots[i].reads, counts.first) << origin;
-        EXPECT_EQ(slots[i].writes, counts.second) << origin;
-        ++i;
-    }
-    EXPECT_TRUE(std::is_sorted(
-        slots.begin(), slots.end(),
-        [](const OriginCounts &a, const OriginCounts &b) {
-            return a.origin < b.origin;
-        }));
+    // burst (all drained by the workload), so the storm's own tallies
+    // must match the channel command totals.
+    ASSERT_EQ(urgent.size(), 20u); // One urgent read per wave.
+    EXPECT_EQ(counts.rd, 20u * 13u); // 12 background + 1 urgent.
+    EXPECT_EQ(counts.wr, 20u * 48u);
+    uint64_t urgent_sum = 0;
+    for (const Cycle l : urgent)
+        urgent_sum += static_cast<uint64_t>(l);
+    EXPECT_GT(urgent_sum, 0u);
 }
 
 TEST(Transaction, PerBankRefreshTracksTrefipbPerBank)

@@ -110,6 +110,39 @@ def region_requests(rows):
             f"{total}")
 
 
+def origin_rows(rows):
+    """Per scheduler variant: exactly origins 0 and 1; the urgent
+    origin 1 reads one per storm wave and never writes; no row ops;
+    the background origin 0 sees one storm, the same in every
+    variant."""
+    waves = {r["sched"]: r["waves"] for r in select(rows, "waves")}
+    by_sched = {}
+    for r in select(rows, "origin"):
+        by_sched.setdefault(r["sched"], {}).setdefault(
+            r["origin"], []).append(r)
+    require(sorted(by_sched) == sorted(waves),
+            f"origin rows for {sorted(by_sched)}, storm rows for "
+            f"{sorted(waves)}")
+    background = set()
+    for sched, origins in sorted(by_sched.items()):
+        require(set(origins) == {0, 1} and
+                all(len(o) == 1 for o in origins.values()),
+                f"{sched}: origins {origins} (need one row each of 0 "
+                f"and 1)")
+        urgent = origins[1][0]
+        require(urgent["reads"] == waves[sched],
+                f"{sched}: origin 1 reads {urgent['reads']} != waves "
+                f"{waves[sched]}")
+        require(urgent["writes"] == 0 and urgent["rowops"] == 0,
+                f"{sched}: origin 1 writes/rowops {urgent}")
+        require(origins[0][0]["rowops"] == 0,
+                f"{sched}: origin 0 rowops {origins[0][0]}")
+        background.add((origins[0][0]["reads"], origins[0][0]["writes"]))
+    require(len(background) == 1,
+            f"origin 0 (reads, writes) differ across variants: "
+            f"{sorted(background)}")
+
+
 CONTRACTS = {
     "ablation_engine_parallelism": {
         "bit_identical": holds("bit_identical"),
@@ -121,7 +154,7 @@ CONTRACTS = {
         "storm_p99_improvement": each(
             "storm_p99_improvement_pct",
             lambda r: r["storm_p99_improvement_pct"] >= 20.0),
-        "origin_rows": lambda rows: select(rows, "origin"),
+        "origin_rows": origin_rows,
     },
     "ablation_refresh": {
         "refs_track_trefi": each("refresh_postpone", refs_track_trefi),

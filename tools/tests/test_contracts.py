@@ -25,7 +25,16 @@ GOOD = {
     "ablation_scheduler": [{"drained_equals_accepted": True}],
     "ablation_qos": [
         {"storm_p99_improvement_pct": 83.3},
-        {"origin": "urgent", "reads": 10},
+        # Rows 1-3, 4-6, 7-9: each variant's storm row, origin 0 row
+        # and origin 1 row.
+        *(row for sched in ("batched_blind", "serving", "serving_refpb")
+          for row in (
+              {"sched": sched, "waves": 30},
+              {"sched": sched, "origin": 0, "reads": 360,
+               "writes": 1440, "rowops": 0},
+              {"sched": sched, "origin": 1, "reads": 30, "writes": 0,
+               "rowops": 0},
+          )),
     ],
     "ablation_refresh": [
         {"refresh_postpone": 0, "refs": 2,
@@ -79,7 +88,7 @@ VIOLATIONS = {
         set_field(0, "drained_equals_accepted", False),
     ("ablation_qos", "storm_p99_improvement"):
         set_field(0, "storm_p99_improvement_pct", 19.9),
-    ("ablation_qos", "origin_rows"): drop_field(1, "origin"),
+    ("ablation_qos", "origin_rows"): set_field(3, "reads", 31),
     ("ablation_refresh", "refs_track_trefi"): set_field(0, "refs", 0),
     # 17.5% faster: the old "window 8 < window 1" check would pass.
     ("ablation_refresh", "read_window_latency"):
@@ -158,6 +167,38 @@ class ContractTableTest(unittest.TestCase):
         self.assertEqual(contracts.check(doc_of("fleet_mixed", [])), [])
         self.assertEqual(len(contracts.check({"scenario": "x"})), 1)
         self.assertEqual(len(contracts.check([{"rows": []}])), 1)
+
+    def test_origin_rows_rejects_each_broken_accounting(self):
+        def delete_row(i):
+            return lambda rows: rows.pop(i)
+
+        def append_row(row):
+            return lambda rows: rows.append(row)
+
+        broken = {
+            "origin 1 missing": delete_row(6),
+            "origin 0 twice": append_row(
+                {"sched": "serving", "origin": 0, "reads": 360,
+                 "writes": 1440, "rowops": 0}),
+            "third origin": append_row(
+                {"sched": "serving", "origin": 2, "reads": 0,
+                 "writes": 0, "rowops": 0}),
+            "no storm row": set_field(7, "sched", "serving_x"),
+            "urgent reads off waves": set_field(4, "waves", 31),
+            "urgent writes": set_field(9, "writes", 1),
+            "urgent rowops": set_field(6, "rowops", 1),
+            "background rowops": set_field(2, "rowops", 1),
+            "background reads differ": set_field(5, "reads", 359),
+            "background writes differ": set_field(8, "writes", 1392),
+        }
+        for case, mutate in broken.items():
+            with self.subTest(case=case):
+                rows = copy.deepcopy(GOOD["ablation_qos"])
+                mutate(rows)
+                failures = contracts.check(doc_of("ablation_qos", rows))
+                self.assertEqual(len(failures), 1, failures)
+                self.assertTrue(failures[0].startswith(
+                    "ablation_qos.origin_rows: "), failures)
 
     def test_cli_exit_status(self):
         bad_rows = copy.deepcopy(GOOD["ablation_qos"])
