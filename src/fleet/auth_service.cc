@@ -951,22 +951,13 @@ AuthService::finalize(Execution &exec) const
         report.auth_replay_max_ns = *std::max_element(
             auth_replays.begin(), auth_replays.end());
     }
+    report.admitted_latencies_ns = std::move(latencies);
     report.shard_busy_ns = std::move(exec.shard_busy_ns);
     report.wall_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - exec.wall_start)
             .count();
     return report;
-}
-
-void
-AuthService::appendAdmittedLatencies(const Execution &exec,
-                                     std::vector<double> &out) const
-{
-    for (size_t i = 0; i < exec.stream.size(); ++i)
-        if (exec.admitted[i])
-            out.push_back(exec.wait_ns[i] +
-                          exec.results[i].service_ns);
 }
 
 LoadReport

@@ -256,6 +256,13 @@ struct LoadReport
     double latency_p99_ns = 0;
     double latency_max_ns = 0;
 
+    /**
+     * The samples behind the latency statistics: wait + service of
+     * every admitted request, in stream order. What a caller merges
+     * across several reports into pooled percentiles.
+     */
+    std::vector<double> admitted_latencies_ns;
+
     // Queueing-wait component alone (0 for closed-loop streams).
     double wait_mean_ns = 0;
     double wait_p95_ns = 0;
@@ -370,10 +377,9 @@ class AuthService
     /**
      * One prepared stream's execution state: the sequential plans
      * (cache hits, admission decisions, per-shard batches) plus the
-     * per-request results the shard workers fill in. The region
-     * layer (region.h) holds one per region so a shared engine can
-     * interleave shard tasks of several services; plain callers use
-     * execute() and never see it.
+     * per-request results the shard workers fill in. execute() is
+     * prepare(), one runShard() per shard, then finalize(); a caller
+     * that times or orders the phases itself drives them directly.
      */
     struct Execution
     {
@@ -410,18 +416,9 @@ class AuthService
 
     /**
      * Aggregate an executed stream into a report; also backfills
-     * exec.wait_ns for the legacy (admission-off) queueing model,
-     * so admittedLatencies() works on the finalized state.
+     * exec.wait_ns for the legacy (admission-off) queueing model.
      */
     LoadReport finalize(Execution &exec) const;
-
-    /**
-     * Append the modeled latency (wait + service) of every admitted
-     * request, in stream order - what the region layer merges into
-     * fleet-global percentiles. Call after finalize().
-     */
-    void appendAdmittedLatencies(const Execution &exec,
-                                 std::vector<double> &out) const;
 
     /** Execute one synthesized stream batched per shard. */
     LoadReport execute(const std::vector<FleetRequest> &stream);

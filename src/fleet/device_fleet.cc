@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "fleet/region.h"
 
 namespace codic {
 
@@ -31,13 +30,6 @@ DeviceFleet::DeviceFleet(const FleetConfig &config)
 int
 DeviceFleet::shardOf(uint64_t device_id) const
 {
-    if (config_.shard_selector) {
-        const int shard = config_.shard_selector->shardOf(
-            device_id, config_.shards);
-        CODIC_ASSERT(shard >= 0 && shard < config_.shards,
-                     "shard selector out of range");
-        return shard;
-    }
     return static_cast<int>(device_id %
                             static_cast<uint64_t>(config_.shards));
 }
@@ -136,14 +128,6 @@ DeviceFleet::shardDeviceIds(int shard) const
 {
     CODIC_ASSERT(shard >= 0 && shard < config_.shards);
     std::vector<uint64_t> ids;
-    if (config_.shard_selector) {
-        // Arbitrary placement: filter the population. O(devices)
-        // per shard, only paid when a non-default policy is set.
-        for (uint64_t id = 0; id < config_.devices; ++id)
-            if (shardOf(id) == shard)
-                ids.push_back(id);
-        return ids;
-    }
     for (uint64_t id = static_cast<uint64_t>(shard);
          id < config_.devices;
          id += static_cast<uint64_t>(config_.shards))

@@ -37,8 +37,6 @@
 
 namespace codic {
 
-class ShardSelector; // region.h
-
 /** Fleet population parameters. */
 struct FleetConfig
 {
@@ -49,22 +47,12 @@ struct FleetConfig
     uint64_t devices = 10000;
 
     /**
-     * Serving shards. Purely an execution parameter (like
-     * RunOptions::threads): results are identical at any value.
+     * Serving shards; device i is served by shard i % shards.
+     * Purely an execution parameter (like RunOptions::threads): the
+     * structured report is identical at any value - only per-shard
+     * replay telemetry (shard_busy_ns, makespan) moves.
      */
     int shards = 4;
-
-    /**
-     * Device -> shard placement policy (region.h). Null keeps the
-     * historical modulo placement (id % shards) bit for bit;
-     * ShardSelector::create("hash") spreads sequential id ranges,
-     * and rebalancedSelector() packs a measured stream's hot
-     * devices across shards. Placement changes which worker replays
-     * a device - the structured report stays byte-identical; only
-     * per-shard replay telemetry (shard_busy_ns, makespan)
-     * legitimately moves.
-     */
-    std::shared_ptr<const ShardSelector> shard_selector;
 
     /**
      * DRAM module each shard's replay system simulates. The serving
@@ -116,11 +104,7 @@ class DeviceFleet
     uint64_t devices() const { return config_.devices; }
     int shards() const { return config_.shards; }
 
-    /**
-     * Shard serving a device: the configured ShardSelector policy,
-     * or the historical id % shards when none is set. Stable per
-     * fleet (a pure function of the id and the config).
-     */
+    /** Shard serving a device: id % shards. */
     int shardOf(uint64_t device_id) const;
 
     /** Device-identity seed: pure function of (population, id). */

@@ -18,9 +18,8 @@
  *    with offered load while the admitted urgent p99 stays bounded
  *    by the deadline (both CI-gated).
  *  - fleet_region_serving: several regions (own population, mix,
- *    skew, arrival rate, shard-placement policy) served by one
- *    process on one engine, with per-region and fleet-global
- *    percentiles.
+ *    skew, arrival rate) served by one process on one engine, with
+ *    per-region and fleet-global percentiles.
  *
  * Determinism: structured rows are pure functions of (seed, scale,
  * devices, requests, zipf) - never of --threads or --shards (the
@@ -35,12 +34,12 @@
 #include <fstream>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "dram/system.h"
 #include "fleet/auth_service.h"
 #include "fleet/device_fleet.h"
 #include "fleet/enrollment_store.h"
-#include "fleet/region.h"
 #include "scenario/fleet_population.h"
 #include "scenario/registry.h"
 #include "scenario/scenario_util.h"
@@ -531,28 +530,25 @@ struct RegionPreset
     double zipf;
     double capacity_multiplier; //!< Offered load vs modeled capacity.
     double weight_auth, weight_reenroll, weight_trng, weight_dealloc;
-    const char *selector; //!< "modulo" | "hash" | "rebalanced".
 };
 
 constexpr RegionPreset kRegionPresets[] = {
-    // In-capacity interactive region: hash placement spreads its
-    // mild skew.
-    {"americas", 0.6, 0.7, 0.85, 0.05, 0.05, 0.05, "hash"},
-    // Near-capacity region with heavy skew: rebalanced placement
-    // packs its hot head across shards.
-    {"europe", 1.1, 1.0, 0.7, 0.1, 0.1, 0.1, "rebalanced"},
+    // In-capacity interactive region with a mild skew.
+    {"americas", 0.6, 0.7, 0.85, 0.05, 0.05, 0.05},
+    // Near-capacity region with a heavy skew.
+    {"europe", 1.1, 1.0, 0.7, 0.1, 0.1, 0.1},
     // Overloaded maintenance-heavy region: sheds best-effort first.
-    {"asia", 0.9, 2.0, 0.5, 0.15, 0.2, 0.15, "modulo"},
+    {"asia", 0.9, 2.0, 0.5, 0.15, 0.2, 0.15},
 };
 constexpr size_t kRegionPresetCount =
     sizeof(kRegionPresets) / sizeof(kRegionPresets[0]);
 
 /**
- * Multi-region serving storm: --regions fleets (own population
- * seed, Zipf skew, request mix, arrival rate and shard-placement
- * policy) share one process, one engine pass, and one admission
- * model per region; reported per region and as the fleet-global
- * roll-up.
+ * Multi-region serving storm: --regions fleets, each with its own
+ * population seed, Zipf skew, request mix and arrival rate under one
+ * shared admission capacity. Each region is a plain fleet study
+ * (enroll, open, serve) run as one engine task; reported per region
+ * and as the fleet-global roll-up.
  */
 void
 runFleetRegionServing(RunContext &ctx)
@@ -560,103 +556,105 @@ runFleetRegionServing(RunContext &ctx)
     if (ctx.options().store_mmap)
         fatal("fleet: --store-mmap is supported by fleet_scaling "
               "(regions enroll their own in-memory stores)");
-    const int region_count = ctx.options().regionsOr(3);
-    const int threads = ctx.options().threads;
+    const size_t region_count =
+        static_cast<size_t>(ctx.options().regionsOr(3));
 
     // Each region's capacity comes from the shared cost model (all
-    // regions serve the same DRAM grade).
-    const AuthConfig ac = authConfigFor(ctx);
+    // regions serve the same DRAM grade). A region is one engine
+    // task, so its own service runs single-threaded.
+    AuthConfig ac = authConfigFor(ctx);
     const double capacity_rps = ctx.options().shedOr(modeledCapacityRps(
         costModelFor(fleetConfigFor(ctx, 1), ac), ac));
+    ac.admission.capacity_rps = capacity_rps;
+    ac.threads = 1;
 
-    std::vector<RegionConfig> configs;
-    for (int r = 0; r < region_count; ++r) {
-        const RegionPreset &preset =
-            kRegionPresets[static_cast<size_t>(r) %
-                           kRegionPresetCount];
-        RegionConfig rc;
-        rc.name = std::string(preset.name) +
-                  (static_cast<size_t>(r) < kRegionPresetCount
-                       ? ""
-                       : "_" + std::to_string(r));
-        rc.fleet = fleetConfigFor(ctx, ctx.scaled(300));
-        // Distinct populations: regions never share device identity.
-        rc.fleet.population_seed +=
-            1000ull * static_cast<uint64_t>(r + 1);
-        rc.fleet.shards = ctx.options().shardsOr(2);
-        rc.traffic.traffic_seed =
-            paperSeed(ctx.options(), 53) +
-            static_cast<uint64_t>(r);
-        rc.traffic.requests =
-            static_cast<uint64_t>(ctx.options().requestsOr(
+    std::vector<std::string> names(region_count);
+    std::vector<double> offered_rps(region_count);
+    std::vector<LoadReport> reports(region_count);
+    // Wall time of the whole pass, enrollment included.
+    const auto wall_start = std::chrono::steady_clock::now();
+    CampaignEngine(ctx.options().threads)
+        .forEach(region_count, [&](size_t r) {
+            const RegionPreset &preset =
+                kRegionPresets[r % kRegionPresetCount];
+            names[r] = preset.name;
+            if (r >= kRegionPresetCount)
+                names[r] += "_" + std::to_string(r);
+            FleetConfig fc = fleetConfigFor(ctx, ctx.scaled(300));
+            // Distinct populations: regions never share device
+            // identity.
+            fc.population_seed += 1000ull * (r + 1);
+            fc.shards = ctx.options().shardsOr(2);
+            TrafficConfig tc;
+            tc.traffic_seed = paperSeed(ctx.options(), 53) + r;
+            tc.requests = static_cast<uint64_t>(ctx.options().requestsOr(
                 static_cast<int64_t>(ctx.scaled(4000))));
-        rc.traffic.zipf = preset.zipf;
-        rc.traffic.weight_auth = preset.weight_auth;
-        rc.traffic.weight_reenroll = preset.weight_reenroll;
-        rc.traffic.weight_trng = preset.weight_trng;
-        rc.traffic.weight_dealloc = preset.weight_dealloc;
-        rc.traffic.offered_rps =
-            capacity_rps * preset.capacity_multiplier;
-        rc.auth = ac;
-        rc.auth.admission.capacity_rps = capacity_rps;
+            tc.zipf = preset.zipf;
+            tc.weight_auth = preset.weight_auth;
+            tc.weight_reenroll = preset.weight_reenroll;
+            tc.weight_trng = preset.weight_trng;
+            tc.weight_dealloc = preset.weight_dealloc;
+            tc.offered_rps = capacity_rps * preset.capacity_multiplier;
+            offered_rps[r] = tc.offered_rps;
 
-        if (std::string(preset.selector) == "rebalanced") {
-            // The placement is trained on the region's own stream -
-            // a pure function of its traffic config, so the serve()
-            // pass regenerates the identical stream.
-            RequestGenerator gen(rc.traffic, rc.fleet.devices);
-            rc.fleet.shard_selector = rebalancedSelector(
-                gen.generate(), rc.fleet.shards,
-                ShardSelector::create("modulo"));
-        } else {
-            rc.fleet.shard_selector =
-                ShardSelector::create(preset.selector);
-        }
-        configs.push_back(std::move(rc));
-    }
+            const FleetPopulation pop = enrollPopulation(fc, 1);
+            EnrollmentStore store = pop.open();
+            DeviceFleet fleet(pop.config);
+            reports[r] = AuthService(fleet, store, ac)
+                             .execute(pop.generator(tc).generate());
+        });
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() -
+                              wall_start)
+                              .count();
 
-    RegionSet set(std::move(configs));
-    set.enrollAll(threads);
-    const RegionSet::Result result = set.serve(threads);
-
-    for (size_t r = 0; r < result.reports.size(); ++r) {
-        const LoadReport &report = result.reports[r];
+    LoadReport global; // The roll-up's sums only.
+    std::vector<double> latencies;
+    for (size_t r = 0; r < region_count; ++r) {
+        const LoadReport &report = reports[r];
         const uint64_t auth_known =
             report.accepted + report.rejected;
         emitAdmissionRow(
             ctx, "per-region serving",
             ResultRow()
-                .add("region", result.names[r])
-                .add("selector",
-                     kRegionPresets[r % kRegionPresetCount].selector)
-                .add("offered_krps",
-                     set.config(r).traffic.offered_rps / 1e3)
+                .add("region", names[r])
+                .add("offered_krps", offered_rps[r] / 1e3)
                 .add("accepted", report.accepted)
                 .add("planned_cache_hit_rate",
                      ratio(report.planned_cache_hits, auth_known)),
             report);
+        global.requests += report.requests;
+        global.admitted += report.admitted;
+        global.shed += report.shed;
+        global.shed_urgent += report.shed_urgent;
+        global.total_energy_nj += report.total_energy_nj;
+        // Region order: the pooled percentiles never depend on
+        // which task finished first.
+        latencies.insert(latencies.end(),
+                         report.admitted_latencies_ns.begin(),
+                         report.admitted_latencies_ns.end());
     }
+    const auto pooled = [&](double p) {
+        return latencies.empty() ? 0.0 : percentile(latencies, p);
+    };
 
-    const GlobalReport &g = result.global;
     ctx.row("global roll-up",
             ResultRow()
-                .add("regions",
-                     static_cast<uint64_t>(result.reports.size()))
-                .add("requests", g.requests)
-                .add("admitted", g.admitted)
-                .add("shed", g.shed)
-                .add("shed_urgent", g.shed_urgent)
-                .add("shed_rate", g.shed_rate)
-                .add("latency_p50_us", g.latency_p50_ns / 1e3)
-                .add("latency_p95_us", g.latency_p95_ns / 1e3)
-                .add("latency_p99_us", g.latency_p99_ns / 1e3)
-                .add("energy_mj", g.total_energy_nj / 1e6)
-                .addTiming("wall_s", g.wall_seconds));
-    ctx.note("One engine drains every region's shard batches, so "
-             "worker threads are shared across regions. Each "
-             "region's rows are byte-identical to serving it alone; "
-             "the global roll-up merges admitted latencies across "
-             "regions in region order.");
+                .add("regions", static_cast<uint64_t>(region_count))
+                .add("requests", global.requests)
+                .add("admitted", global.admitted)
+                .add("shed", global.shed)
+                .add("shed_urgent", global.shed_urgent)
+                .add("shed_rate", ratio(global.shed, global.requests))
+                .add("latency_p50_us", pooled(50.0) / 1e3)
+                .add("latency_p95_us", pooled(95.0) / 1e3)
+                .add("latency_p99_us", pooled(99.0) / 1e3)
+                .add("energy_mj", global.total_energy_nj / 1e6)
+                .addTiming("wall_s", wall_s));
+    ctx.note("Each region enrolls and serves its own population as "
+             "one engine task, so worker threads are shared across "
+             "regions; the global roll-up pools admitted latencies "
+             "across regions in region order.");
 }
 
 /**
@@ -869,8 +867,8 @@ registerFleetScenarios(ScenarioRegistry &registry)
     registry.add(makeScenario(
         "fleet_region_serving",
         "Fleet: multi-region mixed storm (per-region populations, "
-        "skew, arrival rates, shard placement) on one shared engine "
-        "with per-region and global percentiles",
+        "skew, arrival rates) on one shared engine with per-region "
+        "and global percentiles",
         runFleetRegionServing));
     registry.add(makeScenario(
         "ablation_qos",

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -132,31 +133,22 @@ TEST(ResultSinks, CsvEmitsLongFormatRows)
 
 // --- Pinned scenario rows. ---
 
-/** Keeps the rows of one section, dropping everything else. */
+/** Keeps the rows of a run by section, dropping the notes. */
 class SectionRows : public ResultSink
 {
   public:
-    explicit SectionRows(std::string section)
-        : section_(std::move(section))
-    {
-    }
-
     void beginScenario(const std::string &, const std::string &,
                        const RunOptions &) override
     {
     }
     void row(const std::string &section, const ResultRow &r) override
     {
-        if (section == section_)
-            rows.push_back(r);
+        rows[section].push_back(r);
     }
     void note(const std::string &) override {}
     void endScenario() override {}
 
-    std::vector<ResultRow> rows;
-
-  private:
-    std::string section_;
+    std::map<std::string, std::vector<ResultRow>> rows;
 };
 
 /** The value of `key` in `row` (a failed assertion when absent). */
@@ -194,12 +186,13 @@ TEST(ScenarioPins, AblationQosPerOriginRows)
     RunOptions options;
     options.scale = 0.1;
     options.threads = 1;
-    SectionRows sink("per-origin accounting");
+    SectionRows sink;
     ASSERT_TRUE(runScenario("ablation_qos", options, sink));
-    ASSERT_EQ(sink.rows.size(), std::size(pins));
+    const std::vector<ResultRow> &rows = sink.rows["per-origin accounting"];
+    ASSERT_EQ(rows.size(), std::size(pins));
     for (size_t i = 0; i < std::size(pins); ++i) {
         const Pin &pin = pins[i];
-        const ResultRow &row = sink.rows[i];
+        const ResultRow &row = rows[i];
         SCOPED_TRACE(std::string(pin.sched) + " origin " +
                      std::to_string(pin.origin));
         EXPECT_EQ(cell(row, "sched").s, pin.sched);
@@ -210,6 +203,61 @@ TEST(ScenarioPins, AblationQosPerOriginRows)
         EXPECT_DOUBLE_EQ(cell(row, "read_mean_us").d, pin.read_mean_us);
         EXPECT_DOUBLE_EQ(cell(row, "read_max_us").d, pin.read_max_us);
     }
+}
+
+TEST(ScenarioPins, FleetRegionServingRows)
+{
+    // fleet_region_serving at scale 0.1 (400 requests per region),
+    // captured from the region layer the scenario once ran on.
+    struct Pin
+    {
+        const char *region;
+        uint64_t requests, admitted, shed, shed_urgent, accepted;
+        double latency_p50_us, latency_p99_us;
+    };
+    const Pin pins[] = {
+        {"americas", 400, 343, 57, 41, 303, 4.216899581004443,
+         10.567376312505372},
+        {"europe", 400, 303, 97, 43, 243, 5.7212535219789835,
+         12.195046645160115},
+        {"asia", 400, 195, 205, 66, 128, 6.266151686452434,
+         16.55951327288868},
+    };
+    RunOptions options;
+    options.scale = 0.1;
+    options.threads = 1;
+    SectionRows sink;
+    ASSERT_TRUE(runScenario("fleet_region_serving", options, sink));
+    const std::vector<ResultRow> &regions = sink.rows["per-region serving"];
+    ASSERT_EQ(regions.size(), std::size(pins));
+    for (size_t i = 0; i < std::size(pins); ++i) {
+        const Pin &pin = pins[i];
+        const ResultRow &row = regions[i];
+        SCOPED_TRACE(pin.region);
+        EXPECT_EQ(cell(row, "region").s, pin.region);
+        EXPECT_EQ(cell(row, "requests").u, pin.requests);
+        EXPECT_EQ(cell(row, "admitted").u, pin.admitted);
+        EXPECT_EQ(cell(row, "shed").u, pin.shed);
+        EXPECT_EQ(cell(row, "shed_urgent").u, pin.shed_urgent);
+        EXPECT_EQ(cell(row, "accepted").u, pin.accepted);
+        EXPECT_DOUBLE_EQ(cell(row, "latency_p50_us").d,
+                         pin.latency_p50_us);
+        EXPECT_DOUBLE_EQ(cell(row, "latency_p99_us").d,
+                         pin.latency_p99_us);
+    }
+
+    const std::vector<ResultRow> &rollup = sink.rows["global roll-up"];
+    ASSERT_EQ(rollup.size(), 1u);
+    const ResultRow &g = rollup[0];
+    EXPECT_EQ(cell(g, "regions").u, 3u);
+    EXPECT_EQ(cell(g, "requests").u, 1200u);
+    EXPECT_EQ(cell(g, "admitted").u, 841u);
+    EXPECT_EQ(cell(g, "shed").u, 359u);
+    EXPECT_EQ(cell(g, "shed_urgent").u, 150u);
+    EXPECT_DOUBLE_EQ(cell(g, "latency_p50_us").d, 5.38125);
+    EXPECT_DOUBLE_EQ(cell(g, "latency_p95_us").d, 9.725136804378241);
+    EXPECT_DOUBLE_EQ(cell(g, "latency_p99_us").d, 14.130467066254562);
+    EXPECT_DOUBLE_EQ(cell(g, "energy_mj").d, 2.9245270130500076);
 }
 
 // --- Determinism golden test. ---

@@ -4,8 +4,7 @@
  * (the shared recency index behind the store's decode cache and the
  * deterministic cache plan), the streaming store writer and the
  * mapped-file store base (enrollment_store.h), admission control / load
- * shedding (admission.h), the multi-region layer and shard-placement
- * policies (region.h), and the RunOptions contract for the new
+ * shedding (admission.h), and the RunOptions contract for the
  * --store-mmap/--regions/--shed CLI surface.
  */
 
@@ -22,7 +21,6 @@
 #include "fleet/auth_service.h"
 #include "fleet/device_fleet.h"
 #include "fleet/enrollment_store.h"
-#include "fleet/region.h"
 
 namespace codic {
 namespace {
@@ -604,181 +602,6 @@ TEST(AuthServiceAdmission, ReportIndependentOfShardsAndThreads)
     EXPECT_GT(reference.shed, 0u);
     expectReportsEqual(reference, runWith(5, 8));
     expectReportsEqual(reference, runWith(3, 2));
-}
-
-// --- Shard-placement policies. ---
-
-TEST(ShardSelector, FactoryCoversNamedPoliciesAndRejectsUnknown)
-{
-    EXPECT_STREQ(ShardSelector::create("modulo")->name(), "modulo");
-    EXPECT_STREQ(ShardSelector::create("hash")->name(), "hash");
-    EXPECT_THROW(ShardSelector::create("round-robin"), FatalError);
-}
-
-TEST(ShardSelector, HashPolicyStaysInRangeAndMixesSequentialIds)
-{
-    const auto hash = ShardSelector::create("hash");
-    int seen[8] = {};
-    for (uint64_t id = 0; id < 1000; ++id) {
-        const int shard = hash->shardOf(id, 8);
-        ASSERT_GE(shard, 0);
-        ASSERT_LT(shard, 8);
-        ++seen[shard];
-    }
-    // A mixing hash must spread a sequential range over every shard.
-    for (int s = 0; s < 8; ++s)
-        EXPECT_GT(seen[s], 0) << "shard " << s << " never hit";
-}
-
-TEST(ShardSelector, ExplicitPinsOverrideTheFallback)
-{
-    ExplicitShardSelector sel({{7, 3}, {9, 7}},
-                              ShardSelector::create("modulo"));
-    EXPECT_EQ(sel.shardOf(7, 4), 3);
-    EXPECT_EQ(sel.shardOf(6, 4), 2);       // Fallback modulo.
-    EXPECT_EQ(sel.shardOf(9, 4), 1);       // Pin out of range: falls
-                                           // back to 9 % 4.
-    EXPECT_EQ(sel.pinnedDevices(), 2u);
-}
-
-TEST(ShardSelector, RebalancedSelectorSpreadsAModuloHotspot)
-{
-    // Devices 0, 4, 8, 12 all land on shard 0 under modulo with 4
-    // shards; a measured stream pins them onto distinct shards.
-    std::vector<FleetRequest> stream;
-    const auto addRequests = [&](uint64_t id, int n) {
-        for (int i = 0; i < n; ++i) {
-            FleetRequest r;
-            r.device_id = id;
-            stream.push_back(r);
-        }
-    };
-    addRequests(0, 100);
-    addRequests(4, 50);
-    addRequests(8, 30);
-    addRequests(12, 20);
-
-    const auto sel = rebalancedSelector(
-        stream, 4, ShardSelector::create("modulo"));
-    std::set<int> shards;
-    for (uint64_t id : {0ull, 4ull, 8ull, 12ull})
-        shards.insert(sel->shardOf(id, 4));
-    EXPECT_EQ(shards.size(), 4u) << "hot devices still colocated";
-    // Unmeasured devices fall through to the modulo fallback.
-    EXPECT_EQ(sel->shardOf(16, 4), 0);
-}
-
-TEST(ShardSelector, PlacementNeverChangesTheStructuredReport)
-{
-    const auto runWith =
-        [](std::shared_ptr<const ShardSelector> sel) {
-            FleetConfig fc = servingFleetConfig(48, 4);
-            fc.shard_selector = std::move(sel);
-            DeviceFleet fleet(fc);
-            EnrollmentStore store(fc.population_seed);
-            AuthService service(fleet, store, {});
-            enrollFleet(fleet, store, 0);
-            return service.execute(
-                overloadStream(fleet.devices(), 0.0));
-        };
-    const LoadReport modulo = runWith(nullptr);
-    expectReportsEqual(modulo, runWith(ShardSelector::create("hash")));
-    expectReportsEqual(modulo,
-                       runWith(rebalancedSelector(
-                           overloadStream(48, 0.0), 4,
-                           ShardSelector::create("modulo"))));
-}
-
-TEST(DeviceFleet, ShardDeviceIdsPartitionUnderAnySelector)
-{
-    FleetConfig fc = servingFleetConfig(20, 3);
-    fc.shard_selector = ShardSelector::create("hash");
-    DeviceFleet fleet(fc);
-    size_t total = 0;
-    for (int s = 0; s < fleet.shards(); ++s) {
-        for (uint64_t id : fleet.shardDeviceIds(s))
-            EXPECT_EQ(fleet.shardOf(id), s);
-        total += fleet.shardDeviceIds(s).size();
-    }
-    EXPECT_EQ(total, 20u);
-}
-
-// --- Multi-region serving. ---
-
-RegionConfig
-testRegion(const std::string &name, uint64_t seed,
-           uint64_t traffic_seed)
-{
-    RegionConfig rc;
-    rc.name = name;
-    rc.fleet = servingFleetConfig(32, 2);
-    rc.fleet.population_seed = seed;
-    rc.traffic.traffic_seed = traffic_seed;
-    rc.traffic.requests = 300;
-    rc.traffic.zipf = 0.8;
-    rc.traffic.weight_auth = 0.8;
-    rc.traffic.weight_trng = 0.2;
-    return rc;
-}
-
-TEST(RegionSet, SingleRegionMatchesStandaloneService)
-{
-    const RegionConfig rc = testRegion("solo", 123, 11);
-    RegionSet set({rc});
-    set.enrollAll(2);
-    const auto result = set.serve(2);
-    ASSERT_EQ(result.reports.size(), 1u);
-    ASSERT_EQ(result.names[0], "solo");
-
-    DeviceFleet fleet(rc.fleet);
-    EnrollmentStore store(rc.fleet.population_seed);
-    AuthService service(fleet, store, rc.auth);
-    enrollFleet(fleet, store, 0);
-    const LoadReport solo = service.execute(
-        RequestGenerator(rc.traffic, fleet.devices()).generate());
-    expectReportsEqual(result.reports[0], solo);
-
-    EXPECT_EQ(result.global.requests, solo.requests);
-    EXPECT_EQ(result.global.admitted, solo.requests);
-    EXPECT_EQ(result.global.latency_p50_ns, solo.latency_p50_ns);
-}
-
-TEST(RegionSet, ReportsIndependentOfThreadCount)
-{
-    const auto serveWith = [](int threads) {
-        RegionSet set({testRegion("a", 100, 5),
-                       testRegion("b", 200, 7)});
-        set.enrollAll(threads);
-        return set.serve(threads);
-    };
-    const auto one = serveWith(1);
-    const auto eight = serveWith(8);
-    ASSERT_EQ(one.reports.size(), 2u);
-    for (size_t r = 0; r < one.reports.size(); ++r)
-        expectReportsEqual(one.reports[r], eight.reports[r]);
-    EXPECT_EQ(one.global.requests, eight.global.requests);
-    EXPECT_EQ(one.global.latency_p50_ns,
-              eight.global.latency_p50_ns);
-    EXPECT_EQ(one.global.latency_p99_ns,
-              eight.global.latency_p99_ns);
-    EXPECT_EQ(one.global.total_energy_nj,
-              eight.global.total_energy_nj);
-}
-
-TEST(RegionSet, GlobalRollupSumsTheRegions)
-{
-    RegionSet set(
-        {testRegion("a", 100, 5), testRegion("b", 200, 7)});
-    set.enrollAll(2);
-    const auto result = set.serve(2);
-    uint64_t requests = 0, admitted = 0;
-    for (const LoadReport &r : result.reports) {
-        requests += r.requests;
-        admitted += r.admitted;
-    }
-    EXPECT_EQ(result.global.requests, requests);
-    EXPECT_EQ(result.global.admitted, admitted);
-    EXPECT_EQ(result.global.shed, requests - admitted);
 }
 
 // --- RunOptions contract for the serving CLI surface. ---

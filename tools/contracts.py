@@ -92,7 +92,7 @@ def overload_sweep_sheds(rows):
 def region_global(rows):
     """The global roll-up row and the per-region rows."""
     glob = select(rows, "regions")
-    return glob[0], select(rows, "selector")
+    return glob[0], select(rows, "region")
 
 
 def region_rows(rows):
@@ -102,12 +102,20 @@ def region_rows(rows):
             f"{glob['regions']} regions")
 
 
+def region_names(rows):
+    _, per_region = region_global(rows)
+    names = [r["region"] for r in per_region]
+    require(len(set(names)) == len(names),
+            f"region names repeat: {names}")
+
+
 def region_requests(rows):
+    """The roll-up's counts are the per-region sums."""
     glob, per_region = region_global(rows)
-    total = sum(r["requests"] for r in per_region)
-    require(glob["requests"] == total,
-            f"global requests {glob['requests']} != per-region sum "
-            f"{total}")
+    for key in ("requests", "admitted", "shed", "shed_urgent"):
+        total = sum(r[key] for r in per_region)
+        require(glob[key] == total,
+                f"global {key} {glob[key]} != per-region sum {total}")
 
 
 def origin_rows(rows):
@@ -177,6 +185,7 @@ CONTRACTS = {
     },
     "fleet_region_serving": {
         "region_rows": region_rows,
+        "region_names": region_names,
         "region_requests": region_requests,
     },
     "thermal_feedback": {

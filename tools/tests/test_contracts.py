@@ -54,9 +54,14 @@ GOOD = {
          "urgent_protected": True},
     ],
     "fleet_region_serving": [
-        *({"selector": s, "requests": 1000}
-          for s in ("hash", "rebalanced", "modulo")),
-        {"regions": 3, "requests": 3000},
+        {"region": "americas", "requests": 1000, "admitted": 900,
+         "shed": 100, "shed_urgent": 40},
+        {"region": "europe", "requests": 1000, "admitted": 800,
+         "shed": 200, "shed_urgent": 50},
+        {"region": "asia", "requests": 1000, "admitted": 500,
+         "shed": 500, "shed_urgent": 150},
+        {"regions": 3, "requests": 3000, "admitted": 2200, "shed": 800,
+         "shed_urgent": 240},
     ],
     "thermal_feedback": [{"idle_matches_static": True,
                           "flip_response_nonzero": True,
@@ -108,6 +113,8 @@ VIOLATIONS = {
         drop_field(0, "offered_over_capacity"),
     ("fleet_overload", "sweep_sheds"): set_field(4, "shed", 0),
     ("fleet_region_serving", "region_rows"): set_field(3, "regions", 4),
+    ("fleet_region_serving", "region_names"):
+        set_field(2, "region", "americas"),
     ("fleet_region_serving", "region_requests"):
         set_field(3, "requests", 2999),
     ("thermal_feedback", "idle_matches_static"):
@@ -199,6 +206,17 @@ class ContractTableTest(unittest.TestCase):
                 self.assertEqual(len(failures), 1, failures)
                 self.assertTrue(failures[0].startswith(
                     "ablation_qos.origin_rows: "), failures)
+
+    def test_region_requests_rejects_each_broken_sum(self):
+        for key in ("requests", "admitted", "shed", "shed_urgent"):
+            with self.subTest(key=key):
+                rows = copy.deepcopy(GOOD["fleet_region_serving"])
+                rows[1][key] += 1
+                failures = contracts.check(
+                    doc_of("fleet_region_serving", rows))
+                self.assertEqual(len(failures), 1, failures)
+                self.assertTrue(failures[0].startswith(
+                    "fleet_region_serving.region_requests: "), failures)
 
     def test_cli_exit_status(self):
         bad_rows = copy.deepcopy(GOOD["ablation_qos"])
