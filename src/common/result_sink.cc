@@ -226,7 +226,12 @@ JsonResultSink::row(const std::string &section, const ResultRow &r)
     for (const auto &[key, value] : r.values()) {
         if (value.timing && !emit_timings_)
             continue;
-        line += "," + jsonEscape(key) + ":" + value.json();
+        // Appended piecewise: GCC 12's -Wrestrict misfires on a
+        // chained `"," + ... + value.json()` here.
+        line += ',';
+        line += jsonEscape(key);
+        line += ':';
+        line += value.json();
     }
     line += "}";
     rows_.push_back(std::move(line));

@@ -146,7 +146,7 @@ struct RunOptions
     std::string trace_path{};
 
     /**
-     * Output path for the DramSystem::submit recording tap ("" =
+     * Output path for the DramSystem submit/serve recording tap ("" =
      * recording off). See trace/recorder.h; multi-threaded runs
      * record reproducibly but not byte-stably.
      */

@@ -82,6 +82,15 @@ DramSystem::submit(const MemTransaction &txn)
 }
 
 Cycle
+DramSystem::serve(const MemTransaction &txn)
+{
+    if (TraceRecorder::active())
+        TraceRecorder::tap(txn);
+    const Address addr = map_.decode(txn.addr);
+    return controller(addr.channel).serve(txn, addr);
+}
+
+Cycle
 DramSystem::acceptedAt(Ticket ticket) const
 {
     return controllers_[static_cast<size_t>(ticketChannel(ticket))]

@@ -75,6 +75,13 @@ class DramSystem : public MemoryService
     void retire(Ticket ticket) override;
     void onComplete(Ticket ticket, CompletionCallback fn) override;
 
+    /**
+     * Tap the recorder exactly as submit() does, decode once and hand
+     * the transaction to the owning controller's serve(): no system
+     * ticket is packed or unpacked.
+     */
+    Cycle serve(const MemTransaction &txn) override;
+
     /** Advance every channel's scheduler to `now`. */
     size_t poll(Cycle now) override;
 

@@ -530,6 +530,30 @@ MemoryController::submit(const MemTransaction &txn,
 }
 
 Cycle
+MemoryController::serve(const MemTransaction &txn)
+{
+    return serve(txn, map_.decode(txn.addr));
+}
+
+Cycle
+MemoryController::serve(const MemTransaction &txn, const Address &addr)
+{
+#ifndef NDEBUG
+    CODIC_ASSERT(!in_callback_,
+                 "serve() called from inside a completion callback");
+#endif
+    if (txn.kind == TxnKind::Write)
+        return acceptWrite(addr, txn.arrival, kInvalidTicket);
+    if (!read_q_.empty())
+        return completionOf(submit(txn, addr));
+    // A queue of one: serviceOneRequest would pick this request as
+    // the head, reset the bypass count and issue it.
+    head_bypasses_ = 0;
+    return txn.kind == TxnKind::Read ? issueRead(txn, addr)
+                                     : issueRowOp(txn, addr);
+}
+
+Cycle
 MemoryController::acceptedAt(Ticket ticket) const
 {
     const TxnRecord *rec = records_.find(ticket);

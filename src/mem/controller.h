@@ -117,6 +117,18 @@ class MemoryController : public MemoryService
      * down, so a transaction is decoded exactly once per submission.
      */
     Ticket submit(const MemTransaction &txn, const Address &addr);
+
+    Cycle serve(const MemTransaction &txn) override;
+
+    /**
+     * serve() with `txn.addr` already decoded under the module map.
+     * A write is accepted without a ticket record. A read or row op
+     * that finds the read queue empty is issued at once - the queue
+     * would pick it, since it is the only request - so neither takes
+     * the ticket round trip. A read or row op behind queued requests
+     * falls back to completionOf(submit(txn, addr)).
+     */
+    Cycle serve(const MemTransaction &txn, const Address &addr);
     Cycle acceptedAt(Ticket ticket) const override;
     Cycle completionOf(Ticket ticket) override;
     void retire(Ticket ticket) override;
@@ -255,7 +267,10 @@ class MemoryController : public MemoryService
      */
     void flushRow(const Address &addr, Cycle not_before);
 
-    /** Accept one write (old blocking-write body); acceptance cycle. */
+    /**
+     * Accept one write; returns the acceptance cycle. `ticket` is
+     * kInvalidTicket for a serve()d write, which keeps no record.
+     */
     Cycle acceptWrite(const Address &addr, Cycle now, Ticket ticket);
 
     /**

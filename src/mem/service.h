@@ -32,11 +32,13 @@
  *    buffered writes) and returns the cycle the service is
  *    quiescent.
  *
- * The blocking helpers at the bottom are the compatibility shim the
- * paper campaigns keep using: each one is submit + resolve in a
- * single call, so every caller - shimmed or not - runs through the
- * same transaction scheduler, and the eager preset reproduces the
- * published numbers byte-for-byte.
+ * serve(txn) is the blocking entry point: it returns what submit +
+ * resolve would (a read's or row op's completion cycle, a write's
+ * acceptance cycle) without handing out a ticket. Callers that block
+ * on every transaction they issue - the in-order cores, in-place row
+ * ops, fire-and-forget writes - use it; MemoryController::serve says
+ * when it skips the ticket round trip. The blocking helpers at the
+ * bottom are one-line wrappers over serve().
  */
 
 #ifndef CODIC_MEM_SERVICE_H
@@ -129,30 +131,37 @@ class MemoryService
     /** The DRAM configuration behind this service. */
     virtual const DramConfig &dramConfig() const = 0;
 
-    // --- Blocking shim (paper campaigns; submit + resolve) ---
-
     /**
-     * Service a read to completion: the caller blocks until the data
-     * burst completes. Equivalent to submit + completionOf.
+     * Blocking entry point: service `txn` and return a read's or row
+     * op's completion cycle, or a write's acceptance cycle (== its
+     * arrival unless the write queue is full; the write's own
+     * completion is not tracked). Equivalent to submit + completionOf
+     * (a write: submit + acceptedAt + retire), which is this default;
+     * MemoryController and DramSystem override it to skip the ticket
+     * round trip where the result cannot differ.
      */
-    Cycle read(uint64_t phys_addr, Cycle now, uint64_t origin = 0)
+    virtual Cycle serve(const MemTransaction &txn)
     {
-        return completionOf(
-            submit(MemTransaction::makeRead(phys_addr, now, origin)));
-    }
-
-    /**
-     * Accept a write into the owning channel's write queue and
-     * return the acceptance cycle (== now unless the queue is full).
-     * Fire-and-forget: the write's own completion is not tracked.
-     */
-    Cycle write(uint64_t phys_addr, Cycle now, uint64_t origin = 0)
-    {
-        const Ticket t =
-            submit(MemTransaction::makeWrite(phys_addr, now, origin));
+        const Ticket t = submit(txn);
+        if (txn.kind != TxnKind::Write)
+            return completionOf(t);
         const Cycle accepted = acceptedAt(t);
         retire(t);
         return accepted;
+    }
+
+    // --- Blocking helpers (paper campaigns; wrappers over serve) ---
+
+    /** Service a read to completion (the data burst's end). */
+    Cycle read(uint64_t phys_addr, Cycle now, uint64_t origin = 0)
+    {
+        return serve(MemTransaction::makeRead(phys_addr, now, origin));
+    }
+
+    /** Accept a fire-and-forget write; returns the acceptance cycle. */
+    Cycle write(uint64_t phys_addr, Cycle now, uint64_t origin = 0)
+    {
+        return serve(MemTransaction::makeWrite(phys_addr, now, origin));
     }
 
     /**
@@ -162,8 +171,8 @@ class MemoryService
     Cycle rowOp(uint64_t row_addr, Cycle now, RowOpMechanism mech,
                 int64_t reserved_row = 0)
     {
-        return completionOf(submit(MemTransaction::makeRowOp(
-            row_addr, now, mech, reserved_row)));
+        return serve(MemTransaction::makeRowOp(row_addr, now, mech,
+                                               reserved_row));
     }
 };
 

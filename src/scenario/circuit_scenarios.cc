@@ -10,6 +10,7 @@
 #include "scenario/builtin.h"
 
 #include <cmath>
+#include <string>
 
 #include "circuit/analog.h"
 #include "circuit/delay_element.h"
@@ -202,17 +203,22 @@ runTable1(RunContext &ctx)
     for (size_t i = 0; i < kNumSignals; ++i) {
         const auto sig = static_cast<Signal>(i);
         const auto pulse = mrf.decode().pulse(sig);
+        // Appended piecewise: GCC 12's -Wrestrict misfires on a
+        // chained `"[" + std::to_string(...) + ...` here.
+        std::string pulse_text = "(disabled)";
+        if (pulse) {
+            pulse_text = "[";
+            pulse_text += std::to_string(pulse->start_ns);
+            pulse_text += ",";
+            pulse_text += std::to_string(pulse->end_ns);
+            pulse_text += "]";
+        }
         ctx.row("mode-register encoding of CODIC-sig (Section 4.2.2)",
                 ResultRow()
                     .add("signal", signalName(sig))
                     .add("mr_value",
                          static_cast<uint64_t>(mrf.readRegister(sig)))
-                    .add("pulse",
-                         pulse ? ("[" +
-                                  std::to_string(pulse->start_ns) +
-                                  "," + std::to_string(pulse->end_ns) +
-                                  "]")
-                               : "(disabled)"));
+                    .add("pulse", pulse_text));
     }
 }
 

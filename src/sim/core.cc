@@ -53,13 +53,12 @@ InOrderCore::cpuCycles(double n)
 }
 
 void
-InOrderCore::submitWriteback(uint64_t victim_addr)
+InOrderCore::writeback(uint64_t victim_addr)
 {
-    // Fire-and-forget: the core never waits on a writeback's burst,
-    // only on write-queue acceptance (which submit models), so the
-    // ticket is retired unqueried.
-    controller_.retire(controller_.submit(MemTransaction::makeWrite(
-        victim_addr, nowCycles(), addr_base_)));
+    // Fire-and-forget: the core neither waits on a writeback's
+    // burst nor on its acceptance.
+    controller_.serve(MemTransaction::makeWrite(victim_addr, nowCycles(),
+                                                addr_base_));
 }
 
 void
@@ -67,7 +66,7 @@ InOrderCore::writebackThroughL2(uint64_t victim_addr)
 {
     const auto wb = l2_.access(victim_addr, true);
     if (wb.writeback)
-        submitWriteback(wb.victim_addr);
+        writeback(wb.victim_addr);
 }
 
 void
@@ -86,11 +85,10 @@ InOrderCore::doLoad(uint64_t addr)
     if (r2.hit)
         return;
     if (r2.writeback)
-        submitWriteback(r2.victim_addr);
-    // The load blocks the in-order core: submit and resolve.
-    const Ticket t = controller_.submit(
-        MemTransaction::makeRead(addr, nowCycles(), addr_base_));
-    advanceTo(controller_.completionOf(t));
+        writeback(r2.victim_addr);
+    // The load blocks the in-order core until its data arrives.
+    advanceTo(controller_.serve(
+        MemTransaction::makeRead(addr, nowCycles(), addr_base_)));
 }
 
 void
@@ -109,11 +107,10 @@ InOrderCore::doStore(uint64_t addr)
     if (r2.hit)
         return;
     if (r2.writeback)
-        submitWriteback(r2.victim_addr);
+        writeback(r2.victim_addr);
     // Write-allocate: fetch the line (read-for-ownership).
-    const Ticket t = controller_.submit(
-        MemTransaction::makeRead(addr, nowCycles(), addr_base_));
-    advanceTo(controller_.completionOf(t));
+    advanceTo(controller_.serve(
+        MemTransaction::makeRead(addr, nowCycles(), addr_base_)));
 }
 
 void
@@ -126,10 +123,8 @@ InOrderCore::doFlush(uint64_t addr)
     if (dirty) {
         // Write-queue back-pressure stalls the flush when full: the
         // core advances to the acceptance cycle, not the burst end.
-        const Ticket t = controller_.submit(MemTransaction::makeWrite(
-            addr, nowCycles(), addr_base_));
-        advanceTo(controller_.acceptedAt(t));
-        controller_.retire(t);
+        advanceTo(controller_.serve(
+            MemTransaction::makeWrite(addr, nowCycles(), addr_base_)));
     }
 }
 
@@ -162,17 +157,16 @@ InOrderCore::doDealloc(uint64_t addr, uint64_t bytes)
     }
     // One in-DRAM row operation per row; stale cached copies of the
     // region are invalidated. The operation proceeds in DRAM without
-    // blocking the core: the completion cycle is discarded (the
-    // resolve only forces the command onto the channel at its
-    // arrival cycle, exactly like the pre-transaction controller).
+    // blocking the core: the completion cycle is discarded (serving
+    // only forces the command onto the channel at its arrival cycle,
+    // exactly like the pre-transaction controller).
     for (uint64_t a = addr; a < addr + bytes;
          a += static_cast<uint64_t>(row_bytes)) {
         cpuCycles(config_.dealloc_cmd_cycles);
         l1_.invalidateRange(a, static_cast<uint64_t>(row_bytes));
         l2_.invalidateRange(a, static_cast<uint64_t>(row_bytes));
-        controller_.completionOf(controller_.submit(
-            MemTransaction::makeRowOp(a, nowCycles(), mech, 0,
-                                      addr_base_)));
+        controller_.serve(MemTransaction::makeRowOp(
+            a, nowCycles(), mech, 0, addr_base_));
         ++stats_.dealloc_rows;
     }
 }

@@ -10,12 +10,13 @@
  * either inline software zeroing or one in-DRAM row operation per row
  * (CODIC-det / RowClone / LISA-clone).
  *
- * The core is a transaction-API consumer (mem/service.h): loads and
- * stores submit a read transaction and block on completionOf;
- * writebacks are fire-and-forget submits (retired unqueried);
- * CLFLUSH blocks on acceptedAt (write-queue back-pressure); dealloc
- * row ops resolve without advancing core time. Every transaction is
- * tagged with the core's region base as its origin.
+ * The core is a blocking MemoryService consumer (mem/service.h):
+ * every transaction goes through serve(). Load and store misses
+ * block until the read completes; writebacks are fire-and-forget;
+ * CLFLUSH blocks until its write is accepted (write-queue
+ * back-pressure); dealloc row ops are served without advancing core
+ * time. Every transaction is tagged with the core's region base as
+ * its origin.
  */
 
 #ifndef CODIC_SIM_CORE_H
@@ -104,8 +105,8 @@ class InOrderCore
     void doStore(uint64_t addr);
     void doFlush(uint64_t addr);
     void doDealloc(uint64_t addr, uint64_t bytes);
-    /** Submit a fire-and-forget writeback transaction. */
-    void submitWriteback(uint64_t victim_addr);
+    /** Serve a fire-and-forget writeback transaction. */
+    void writeback(uint64_t victim_addr);
     /** Handle a dirty L1 victim through L2 (and memory if needed). */
     void writebackThroughL2(uint64_t victim_addr);
 

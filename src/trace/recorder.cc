@@ -13,7 +13,7 @@ namespace {
 
 std::mutex recorder_mutex;
 std::unique_ptr<TraceWriter> recorder_writer;
-// The hot-path gate: submit() reads this without the mutex.
+// The hot-path gate: submit() and serve() read this without the mutex.
 std::atomic<bool> recorder_active{false};
 
 TraceRecord

@@ -78,19 +78,16 @@ TraceReplaySource::step(const TraceRecord &record)
     }
     case TraceOpKind::Write: {
         ++report_.writes;
-        const Ticket t = mem_.submit(
-            MemTransaction::makeWrite(record.addr, arrival,
-                                      record.origin));
-        mem_.retire(t);
+        mem_.serve(MemTransaction::makeWrite(record.addr, arrival,
+                                             record.origin));
         break;
     }
     case TraceOpKind::RowOp: {
         ++report_.rowops;
-        const Cycle done = mem_.completionOf(mem_.submit(
-            MemTransaction::makeRowOp(
-                record.addr, arrival,
-                static_cast<RowOpMechanism>(record.mech),
-                record.reserved_row, record.origin)));
+        const Cycle done = mem_.serve(MemTransaction::makeRowOp(
+            record.addr, arrival,
+            static_cast<RowOpMechanism>(record.mech),
+            record.reserved_row, record.origin));
         report_.makespan = std::max(report_.makespan, done);
         break;
     }

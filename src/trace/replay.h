@@ -1,19 +1,19 @@
 /**
  * @file
- * Trace replay: drives a MemoryService's async submit/completionOf
- * API from a DRAM-level trace with the original inter-arrival
- * timing (optionally rescaled), closing the record -> replay loop:
- * a trace captured by TraceRecorder from any scenario re-runs as a
- * first-class workload on any DramSystem/scheduler configuration.
+ * Trace replay: drives a MemoryService from a DRAM-level trace with
+ * the original inter-arrival timing (optionally rescaled), closing
+ * the record -> replay loop: a trace captured by TraceRecorder from
+ * any scenario re-runs as a first-class workload on any
+ * DramSystem/scheduler configuration.
  *
  * Replay semantics per record kind:
  *  - Read: submitted at its (rescaled) arrival and resolved through
  *    a bounded in-flight window, so memory stays O(window) while
  *    the scheduler still sees a deep queue; per-read latency
  *    (completion - arrival) is reported.
- *  - Write: fire-and-forget (submit + retire), buffered and drained
+ *  - Write: fire-and-forget through serve(), buffered and drained
  *    by the SchedulerPolicy under study.
- *  - RowOp: submitted and resolved in place (bulk row operations
+ *  - RowOp: served in place through serve() (bulk row operations
  *    are blocking in every campaign that issues them).
  *
  * Raw CPU-level records (Load/Store/Flush) are rejected loudly:

@@ -23,6 +23,8 @@
 #include "common/result_sink.h"
 #include "dram/system.h"
 #include "scenario/registry.h"
+#include "secdealloc/evaluate.h"
+#include "sim/workloads.h"
 #include "trace/cache_filter.h"
 #include "trace/recorder.h"
 #include "trace/replay.h"
@@ -489,6 +491,80 @@ TEST(TraceRecorderTest, TapPreservesTransactionFields)
     EXPECT_EQ(records[2].reserved_row, 5);
     EXPECT_EQ(records[2].origin, 0xEFu);
     EXPECT_EQ(reader.meta().scenario, "unit_recorder");
+    std::remove(path.c_str());
+}
+
+/** FNV-1a over every field of every record, in stream order. */
+uint64_t
+fnv1a(const std::vector<TraceRecord> &records)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const TraceRecord &r : records) {
+        mix(static_cast<uint64_t>(r.kind));
+        mix(r.addr);
+        mix(r.tick);
+        mix(r.origin);
+        mix(r.mech);
+        mix(static_cast<uint64_t>(r.reserved_row));
+    }
+    return h;
+}
+
+// Pins what the recorder sees of InOrderCore multi-core runs: loads,
+// RFOs, writebacks (tiny caches force many) and every dealloc
+// mechanism, on one and two channels. Any change to the order, ticks
+// or fields of the transactions the cores hand the memory system
+// moves the count or the hash.
+TEST(TraceRecorderTest, MultiCoreRecordingPinned)
+{
+    const std::string path = tmpPath("multicore.trace");
+    TraceMeta meta;
+    meta.scenario = "unit_multicore";
+    TraceRecorder::start(path, meta);
+    WorkloadMix mix;
+    mix.name = "pin";
+    const char *benches[] = {"malloc", "bootup", "tpcc64", "libquantum"};
+    for (int i = 0; i < 4; ++i) {
+        WorkloadParams p = benchmarkParams(benches[i], 31 + i);
+        p.phases = 6;
+        mix.traces.push_back(generateWorkload(p));
+    }
+    DeallocEvalConfig config;
+    config.core.l1_bytes = 4096;
+    config.core.l2_bytes = 16384;
+    for (int channels : {1, 2}) {
+        config.dram_channels = channels;
+        for (DeallocMode mode :
+             {DeallocMode::SoftwareZero, DeallocMode::CodicDet,
+              DeallocMode::RowClone, DeallocMode::LisaClone})
+            runMultiCore(mix, mode, config);
+    }
+    const uint64_t count = TraceRecorder::stop();
+
+    TraceReader reader(path);
+    const std::vector<TraceRecord> records = decodeAll(reader);
+    ASSERT_EQ(records.size(), count);
+    size_t kinds[3] = {0, 0, 0};
+    for (const TraceRecord &r : records) {
+        if (r.kind == TraceOpKind::Read)
+            ++kinds[0];
+        else if (r.kind == TraceOpKind::Write)
+            ++kinds[1];
+        else if (r.kind == TraceOpKind::RowOp)
+            ++kinds[2];
+    }
+    // Every kind the cores submit is present.
+    EXPECT_GT(kinds[0], 0u);
+    EXPECT_GT(kinds[1], 0u);
+    EXPECT_GT(kinds[2], 0u);
+    EXPECT_EQ(count, 107626u);
+    EXPECT_EQ(fnv1a(records), 18109969494118083654ull);
     std::remove(path.c_str());
 }
 

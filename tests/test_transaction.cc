@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "dram/system.h"
 #include "mem/controller.h"
 #include "scenario/scheduler_workloads.h"
@@ -41,6 +42,139 @@ TEST(Transaction, BlockingShimEqualsExplicitSubmitResolve)
     EXPECT_EQ(async.acceptedAt(t), 10);
     EXPECT_EQ(async.completionOf(t), blocking);
     EXPECT_EQ(ch_a.counts().total(), ch_b.counts().total());
+}
+
+void
+expectSameCounts(const CommandCounts &a, const CommandCounts &b)
+{
+    EXPECT_EQ(a.act, b.act);
+    EXPECT_EQ(a.pre, b.pre);
+    EXPECT_EQ(a.rd, b.rd);
+    EXPECT_EQ(a.wr, b.wr);
+    EXPECT_EQ(a.ref, b.ref);
+    EXPECT_EQ(a.refpb, b.refpb);
+    EXPECT_EQ(a.mrs, b.mrs);
+    EXPECT_EQ(a.codic, b.codic);
+    EXPECT_EQ(a.rowclone, b.rowclone);
+    EXPECT_EQ(a.lisa_rbm, b.lisa_rbm);
+    EXPECT_EQ(a.rd_wr_turnarounds, b.rd_wr_turnarounds);
+    EXPECT_EQ(a.wr_rd_turnarounds, b.wr_rd_turnarounds);
+    EXPECT_EQ(a.refresh_overlap_cycles, b.refresh_overlap_cycles);
+    ASSERT_EQ(a.per_bank.size(), b.per_bank.size());
+    for (size_t i = 0; i < a.per_bank.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(a.per_bank[i].act, b.per_bank[i].act);
+        EXPECT_EQ(a.per_bank[i].rd, b.per_bank[i].rd);
+        EXPECT_EQ(a.per_bank[i].wr, b.per_bank[i].wr);
+        EXPECT_EQ(a.per_bank[i].ref, b.per_bank[i].ref);
+        EXPECT_EQ(a.per_bank[i].refpb, b.per_bank[i].refpb);
+        EXPECT_EQ(a.per_bank[i].refresh_cycles,
+                  b.per_bank[i].refresh_cycles);
+    }
+}
+
+// serve() skips the ticket round trip (a write takes no record; a
+// read or row op on an empty read queue issues at once). Two
+// identical systems fed the same stream - one through serve(), one
+// through submit + completionOf (a write: acceptedAt + retire) -
+// must agree on every cycle and counter. An occasional async submit
+// is left queued on both, so serve() also takes its fallback.
+TEST(Transaction, ServeMatchesSubmitResolve)
+{
+    size_t direct = 0;
+    size_t fallback = 0;
+    uint64_t seed = 0;
+    for (const char *grade : {"ddr3-1600", "ddr4-3200"}) {
+        for (int channels : {1, 2, 4}) {
+            for (const char *spec :
+                 {"eager", "batched", "aggressive", "serving",
+                  "serving:refresh=per-bank"}) {
+                SCOPED_TRACE(std::string(grade) + " x" +
+                             std::to_string(channels) + " " + spec);
+                DramConfig c = DramConfig::preset(grade, 256, channels);
+                c.scheduler = SchedulerPolicy::parse(spec);
+                ControllerConfig cc;
+                cc.map_scheme = MapScheme::RowBankColumnChannel;
+                DramSystem served(c, cc), resolved(c, cc);
+                Rng rng(++seed);
+                std::vector<Ticket> queued_s, queued_r;
+                // A few hot rows per bank (row hits, same-row write
+                // forwarding) inside a wider random spread.
+                const uint64_t span =
+                    static_cast<uint64_t>(c.row_bytes) * 64 * channels;
+                Cycle now = 0;
+                for (int i = 0; i < 3000; ++i) {
+                    now += static_cast<Cycle>(rng.next64() % 48);
+                    const uint64_t addr =
+                        (rng.next64() % 4 == 0
+                             ? rng.next64() %
+                                   static_cast<uint64_t>(
+                                       c.capacityBytes())
+                             : rng.next64() % span) &
+                        ~uint64_t{63};
+                    const int priority =
+                        rng.next64() % 8 == 0 ? -1 : 0;
+                    const uint64_t pick = rng.next64() % 20;
+                    MemTransaction txn;
+                    if (pick < 9) {
+                        txn = MemTransaction::makeRead(addr, now, i,
+                                                       priority);
+                    } else if (pick < 16) {
+                        txn = MemTransaction::makeWrite(addr, now, i);
+                    } else if (pick < 19) {
+                        txn = MemTransaction::makeRowOp(
+                            addr, now,
+                            static_cast<RowOpMechanism>(pick - 16), 1,
+                            i, priority);
+                    } else {
+                        // Async read left queued on both systems.
+                        txn = MemTransaction::makeRead(addr, now, i,
+                                                       priority);
+                        queued_s.push_back(served.submit(txn));
+                        queued_r.push_back(resolved.submit(txn));
+                        if (queued_s.size() > 4) {
+                            for (size_t q = 0; q < queued_s.size(); ++q)
+                                EXPECT_EQ(
+                                    served.completionOf(queued_s[q]),
+                                    resolved.completionOf(queued_r[q]));
+                            queued_s.clear();
+                            queued_r.clear();
+                        }
+                        continue;
+                    }
+                    if (txn.kind != TxnKind::Write) {
+                        const int ch = served.channelOf(addr);
+                        if (served.controller(ch).pendingReadCount() ==
+                            0)
+                            ++direct;
+                        else
+                            ++fallback;
+                    }
+                    const Cycle got = served.serve(txn);
+                    const Ticket t = resolved.submit(txn);
+                    Cycle want;
+                    if (txn.kind == TxnKind::Write) {
+                        want = resolved.acceptedAt(t);
+                        resolved.retire(t);
+                    } else {
+                        want = resolved.completionOf(t);
+                    }
+                    ASSERT_EQ(got, want) << "transaction " << i;
+                }
+                for (size_t q = 0; q < queued_s.size(); ++q)
+                    EXPECT_EQ(served.completionOf(queued_s[q]),
+                              resolved.completionOf(queued_r[q]));
+                EXPECT_EQ(served.lastIssueCycle(),
+                          resolved.lastIssueCycle());
+                EXPECT_EQ(served.drainAll(), resolved.drainAll());
+                expectSameCounts(served.totalCounts(),
+                                 resolved.totalCounts());
+            }
+        }
+    }
+    // Both branches of serve() ran.
+    EXPECT_GT(direct, 1000u);
+    EXPECT_GT(fallback, 100u);
 }
 
 TEST(Transaction, TicketsResolveOnceThenPanic)
